@@ -11,10 +11,21 @@ branch current, all oriented start to end):
                      inductor   g = dt/(2L)   i' = i + g (u + u')
 
 The system matrix is constant for a fixed dt, so it is LU-factorized
-once and every step is a pair of triangular solves.  After the run the
-recorded branch currents are pushed through the full incidence matrix;
-if any node's residual exceeds ``solver_tol`` times the largest branch
-current, the run is rejected rather than silently returned.
+once, and the whole step is then linear in the state z = (capacitor u
+and i, inductor u and i) and the source values s_n.  ``transient``
+compiles it once, by applying the one-step assembly and update to unit
+vectors, into
+
+    z_n = M z_{n-1} + N s_n        G x_n = Rz z_{n-1} + Rs s_n
+
+so each step of the recurrence costs one small matrix-vector product.
+Everything full-length is computed in fixed-size blocks of steps and
+written straight into the record: the source drive N s, the unknowns x
+(one LU solve for the whole block), the branch currents, and the
+current-law audit, which pushes each block's branch currents through
+the full incidence matrix.  If any node's residual over the run exceeds
+``solver_tol`` times the current scale, the run is rejected rather than
+silently returned.
 
 Trapezoidal integration is the default: it is second order and, for
 lossless LC loops, preserves the stored energy exactly (in exact
@@ -24,8 +35,6 @@ arithmetic), which backward Euler visibly damps.
 from __future__ import annotations
 
 import math
-import os
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field, replace
 from typing import Mapping, Sequence
 
@@ -38,7 +47,7 @@ from .elements import (Capacitor, CurrentSource, Inductor, Resistor,
                        VoltageSource)
 from .errors import SimulationError
 from .laser import LaserCircuit
-from .topology import Network, boundary
+from .topology import Network, boundary, connected_components
 from .waveform import Waveform
 
 METHODS = ("trapezoidal", "backward-euler")
@@ -46,6 +55,10 @@ METHODS = ("trapezoidal", "backward-euler")
 #: Conductance tied from floating capacitor nodes to ground in the
 #: operating-point solve.
 GMIN = 1e-12
+
+#: Steps per block: sources, unknowns, branch currents and the
+#: current-law audit are computed this many time points at a time.
+_BLOCK = 4096
 
 
 @dataclass(frozen=True)
@@ -141,25 +154,16 @@ def _checked_network(net: Network) -> None:
             raise SimulationError(f"branch {br.id!r} is a self-loop")
     # Every node must reach the reference, otherwise the nodal matrix
     # is singular; name the offenders instead of failing in the LU.
-    reach = {net.reference}
-    frontier = [net.reference]
-    adj: dict[str, list[str]] = {n: [] for n in net.nodes}
-    for br in net.branches:
-        adj[br.start].append(br.end)
-        adj[br.end].append(br.start)
-    while frontier:
-        for nxt in adj[frontier.pop()]:
-            if nxt not in reach:
-                reach.add(nxt)
-                frontier.append(nxt)
-    floating = [n for n in net.nodes if n not in reach]
+    grounded = next(c for c in connected_components(net) if net.reference in c)
+    floating = [n for n in net.nodes if n not in grounded]
     if floating:
         raise SimulationError(
             f"nodes {floating} have no path to reference {net.reference!r}")
 
 
 def _source_samples(value, times: np.ndarray) -> np.ndarray:
-    """Source value on the simulation grid (aligned waveforms verbatim)."""
+    """Read-only source value on the simulation grid (aligned waveforms
+    verbatim, without a copy)."""
     if isinstance(value, Waveform):
         n = times.size
         dt = float(times[1] - times[0])
@@ -167,9 +171,9 @@ def _source_samples(value, times: np.ndarray) -> np.ndarray:
                    and abs(value.t0 - times[0]) <= 1e-9 * dt
                    and abs(value.dt - dt) <= 1e-12 * dt)
         if aligned:
-            return value.samples[:n].copy()
+            return value.samples[:n]
         return value.value_at(times)
-    return np.full(times.size, float(value))
+    return np.broadcast_to(float(value), times.shape)
 
 
 def transient(net: Network, cfg: SimConfig,
@@ -214,7 +218,7 @@ def transient(net: Network, cfg: SimConfig,
         Gp[ia, ib] -= g
         Gp[ib, ia] -= g
 
-    # Per-kind bookkeeping for the step loop, all index arrays.
+    # Per-kind bookkeeping, all index arrays.
     res_idx: list[int] = []
     res_g: list[float] = []
     cap_idx: list[int] = []
@@ -272,18 +276,64 @@ def transient(net: Network, cfg: SimConfig,
                     "or current-source cutsets")
 
     res_idx_a = np.asarray(res_idx, dtype=np.intp)
-    res_g_a = np.asarray(res_g)
+    res_g_a = np.asarray(res_g)[:, None]
     cap_idx_a = np.asarray(cap_idx, dtype=np.intp)
-    cap_g_a = np.asarray(cap_g)
+    cap_g_a = np.asarray(cap_g)[:, None]
     ind_idx_a = np.asarray(ind_idx, dtype=np.intp)
-    ind_g_a = np.asarray(ind_g)
+    ind_g_a = np.asarray(ind_g)[:, None]
     isrc_idx_a = np.asarray(isrc_idx, dtype=np.intp)
     vsrc_idx_a = np.asarray(vsrc_idx, dtype=np.intp)
-    isrc_mat = np.vstack(isrc_vals) if isrc_vals else np.zeros((0, steps + 1))
-    vsrc_mat = np.vstack(vsrc_vals) if vsrc_vals else np.zeros((0, steps + 1))
+    sources = isrc_vals + vsrc_vals
+    n_c, n_l, n_i = len(cap_idx), len(ind_idx), len(isrc_idx)
+    n_z = 2 * (n_c + n_l)
+    # State layout: cap_u, cap_i, ind_u, ind_i.
+    cap_i_rows = slice(n_c, 2 * n_c)
+    ind_i_rows = slice(2 * n_c + n_l, n_z)
+
+    def assemble(z: np.ndarray, s: np.ndarray) -> np.ndarray:
+        """Right-hand side for columns of state z and sources s."""
+        cap_u, cap_i, ind_u, ind_i = np.split(z, [n_c, 2 * n_c, 2 * n_c + n_l])
+        rhs = np.zeros((n_x + 1, z.shape[1]))
+        # independent sources
+        np.subtract.at(rhs, a_rows[isrc_idx_a], s[:n_i])
+        np.add.at(rhs, b_rows[isrc_idx_a], s[:n_i])
+        rhs[n_v:n_x] = s[n_i:]
+        # companion histories
+        cap_hist = cap_g_a * cap_u + (cap_i if trap else 0.0)
+        np.add.at(rhs, a_rows[cap_idx_a], cap_hist)
+        np.subtract.at(rhs, b_rows[cap_idx_a], cap_hist)
+        ind_hist = ind_i + (ind_g_a * ind_u if trap else 0.0)
+        np.subtract.at(rhs, a_rows[ind_idx_a], ind_hist)
+        np.add.at(rhs, b_rows[ind_idx_a], ind_hist)
+        return rhs[:n_x]
+
+    def advance(z: np.ndarray, x: np.ndarray) -> np.ndarray:
+        """State after a step that solved x from state z (columns)."""
+        cap_u, cap_i, ind_u, ind_i = np.split(z, [n_c, 2 * n_c, 2 * n_c + n_l])
+        x_pad = np.vstack([x, np.zeros((1, x.shape[1]))])
+        branch_u = x_pad[a_rows] - x_pad[b_rows]
+        new_cap_u = branch_u[cap_idx_a]
+        new_cap_i = cap_g_a * (new_cap_u - cap_u) - (cap_i if trap else 0.0)
+        new_ind_u = branch_u[ind_idx_a]
+        new_ind_i = ind_i + ind_g_a * ((new_ind_u + ind_u) if trap else new_ind_u)
+        return np.vstack([new_cap_u, new_cap_i, new_ind_u, new_ind_i])
+
+    # The step is linear in (z, s).  Its response to unit vectors gives
+    # rhs_n = Rz z_{n-1} + Rs s_n and the recurrence z_n = M z_{n-1} + N s_n.
+    # The unknowns are solved from the assembled right-hand side, block
+    # by block, rather than through a composed map from (z, s): terms
+    # that cancel at a node (a bias current against its choke's current)
+    # then cancel before the solve scales them by 1/g of a small
+    # companion conductance, not after.
+    unit = np.eye(n_z + len(sources))
+    r_unit = assemble(unit[:n_z], unit[n_z:])
+    z_unit = advance(unit[:n_z], lu_solve(lu, r_unit))
+    Rz, Rs = r_unit[:, :n_z], r_unit[:, n_z:]
+    Mt = np.ascontiguousarray(z_unit[:, :n_z].T)
+    N = z_unit[:, n_z:]
 
     # Initial state.
-    v0_pad = np.zeros(n_v + len(vsrc_ids) + 1)
+    v0_pad = np.zeros(n_x + 1)
     for label, volt in initial.node_voltages.items():
         r = row[label]
         if r >= 0:
@@ -293,10 +343,11 @@ def transient(net: Network, cfg: SimConfig,
     init_i = {bid: float(val) for bid, val in initial.branch_currents.items()}
 
     branch_u = v0_pad[a_rows] - v0_pad[b_rows]
-    cap_u = branch_u[cap_idx_a].copy()
-    cap_i = np.array([init_i.get(net.branches[k].id, 0.0) for k in cap_idx])
-    ind_u = branch_u[ind_idx_a].copy()
-    ind_i = np.array([init_i.get(net.branches[k].id, 0.0) for k in ind_idx])
+    z = np.concatenate([
+        branch_u[cap_idx_a],
+        [init_i.get(net.branches[k].id, 0.0) for k in cap_idx],
+        branch_u[ind_idx_a],
+        [init_i.get(net.branches[k].id, 0.0) for k in ind_idx]])
 
     n_br = len(net.branches)
     I_rec = np.zeros((n_br, steps + 1))
@@ -304,65 +355,61 @@ def transient(net: Network, cfg: SimConfig,
     V_rec[:, 0] = v0_pad[:n_v]
 
     # t = 0 column from the supplied state.
-    I_rec[res_idx_a, 0] = branch_u[res_idx_a] * res_g_a
-    I_rec[cap_idx_a, 0] = cap_i
-    I_rec[ind_idx_a, 0] = ind_i
-    I_rec[isrc_idx_a, 0] = isrc_mat[:, 0]
-    for j, k in enumerate(vsrc_idx):
-        I_rec[k, 0] = init_i.get(net.branches[k].id, 0.0)
+    I_rec[res_idx_a, 0] = branch_u[res_idx_a] * res_g_a[:, 0]
+    I_rec[cap_idx_a, 0] = z[cap_i_rows]
+    I_rec[ind_idx_a, 0] = z[ind_i_rows]
+    I_rec[isrc_idx_a, 0] = [src[0] for src in isrc_vals]
+    I_rec[vsrc_idx_a, 0] = [init_i.get(net.branches[k].id, 0.0) for k in vsrc_idx]
 
-    x_pad = np.zeros(n_x + 1)
-    for n in range(1, steps + 1):
-        rhs = np.zeros(n_x + 1)
-        # independent sources
-        np.subtract.at(rhs, a_rows[isrc_idx_a], isrc_mat[:, n])
-        np.add.at(rhs, b_rows[isrc_idx_a], isrc_mat[:, n])
-        for j, k in enumerate(vsrc_idx):
-            rhs[n_v + j] = vsrc_mat[j, n]
-        # companion histories
-        cap_hist = cap_g_a * cap_u + (cap_i if trap else 0.0)
-        np.add.at(rhs, a_rows[cap_idx_a], cap_hist)
-        np.subtract.at(rhs, b_rows[cap_idx_a], cap_hist)
-        ind_hist = ind_i + (ind_g_a * ind_u if trap else 0.0)
-        np.subtract.at(rhs, a_rows[ind_idx_a], ind_hist)
-        np.add.at(rhs, b_rows[ind_idx_a], ind_hist)
-
-        x = lu_solve(lu, rhs[:n_x])
-        x_pad[:n_x] = x
-        branch_u = x_pad[a_rows] - x_pad[b_rows]
-
-        new_cap_u = branch_u[cap_idx_a]
-        cap_i = cap_g_a * (new_cap_u - cap_u) - (cap_i if trap else 0.0)
-        cap_u = new_cap_u
-        new_ind_u = branch_u[ind_idx_a]
-        ind_i = ind_i + ind_g_a * ((new_ind_u + ind_u) if trap else new_ind_u)
-        ind_u = new_ind_u
-
-        V_rec[:, n] = x[:n_v]
-        I_rec[res_idx_a, n] = branch_u[res_idx_a] * res_g_a
-        I_rec[cap_idx_a, n] = cap_i
-        I_rec[ind_idx_a, n] = ind_i
-        I_rec[isrc_idx_a, n] = isrc_mat[:, n]
-        for j, k in enumerate(vsrc_idx):
-            I_rec[k, n] = x[n_v + j]
-
-    # Current-law audit on the solved columns (t = 0 is supplied state,
-    # not a solution, so it is not judged here).
+    # Current-law audit, accumulated block by block.  t = 0 is supplied
+    # state, not a solution, so its residual is not judged; it counts
+    # towards the scales.  Reactive branch currents come from cancelling
+    # companion terms of magnitude g*|u|, so roundoff in the residual
+    # floats on those intermediates, not on the (possibly tiny) net
+    # currents.
     D = boundary(net).matrix.astype(np.float64)
-    residual = D @ I_rec[:, 1:]
-    max_resid = float(np.max(np.abs(residual))) if residual.size else 0.0
-    scale = float(np.max(np.abs(I_rec)))
-    # Reactive branch currents come from cancelling companion terms of
-    # magnitude g*|u|, so roundoff in the residual floats on those
-    # intermediates, not on the (possibly tiny) net currents.
-    V_full = np.zeros((n_x + 1, steps + 1))
-    V_full[:n_v] = V_rec
-    u_all = np.abs(V_full[a_rows] - V_full[b_rows])
-    g_br = np.zeros(n_br)
+    g_br = np.zeros((n_br, 1))
     g_br[res_idx_a] = res_g_a
     g_br[cap_idx_a] = cap_g_a
     g_br[ind_idx_a] = ind_g_a
-    audit_scale = max(scale, float(np.max(g_br[:, None] * u_all)) if n_br else 0.0)
+    max_resid = 0.0
+    scale = float(np.max(np.abs(I_rec[:, 0])))
+    g_u = float(np.max(g_br[:, 0] * np.abs(branch_u)))
+
+    for lo in range(1, steps + 1, _BLOCK):
+        hi = min(lo + _BLOCK, steps + 1)
+        s = np.vstack([src[lo:hi] for src in sources])
+        # The recurrence itself, one row of zs per step (zs[0] = z_{lo-1}).
+        zs = np.empty((hi - lo + 1, n_z))
+        zs[0] = z
+        zs[1:] = (N @ s).T
+        if n_z:
+            rows = list(zs)
+            buf = np.empty(n_z)
+            prev = rows[0]
+            for cur in rows[1:]:
+                np.dot(prev, Mt, out=buf)
+                cur += buf
+                prev = cur
+        z = zs[-1].copy()
+
+        x_pad = np.zeros((n_x + 1, hi - lo))
+        x_pad[:n_x] = lu_solve(lu, Rz @ zs[:-1].T + Rs @ s)
+        u = x_pad[a_rows] - x_pad[b_rows]
+        z_new = zs[1:].T
+        V_rec[:, lo:hi] = x_pad[:n_v]
+        I = I_rec[:, lo:hi]
+        I[res_idx_a] = u[res_idx_a] * res_g_a
+        I[cap_idx_a] = z_new[cap_i_rows]
+        I[ind_idx_a] = z_new[ind_i_rows]
+        I[isrc_idx_a] = s[:n_i]
+        I[vsrc_idx_a] = x_pad[n_v:n_x]
+
+        max_resid = max(max_resid, float(np.max(np.abs(D @ I))))
+        scale = max(scale, float(np.max(np.abs(I))))
+        g_u = max(g_u, float(np.max(g_br * np.abs(u))))
+
+    audit_scale = max(scale, g_u)
     if max_resid > cfg.solver_tol * max(audit_scale, 1e-30):
         raise SimulationError(
             f"current-law residual {max_resid:.3e} A exceeds "
@@ -476,8 +523,8 @@ class SweepPoint:
     t_mid: float  # midpoint of the half-maximum crossings
 
 
-def _sweep_worker(args) -> tuple[SweepPoint, Waveform]:
-    spec, circ, cfg, net_kwargs, value = args
+def _sweep_point(spec: StimulusSpec, circ: LaserCircuit, cfg: SimConfig,
+                 value: float, **net_kwargs) -> tuple[SweepPoint, Waveform]:
     from .metrics import fwhm  # local import avoids a cycle
 
     result = run_driver(spec, circ, cfg, **net_kwargs)
@@ -491,53 +538,29 @@ def _sweep_worker(args) -> tuple[SweepPoint, Waveform]:
     return point, sense
 
 
-def thread_cap() -> int:
-    """Sweep parallelism cap from PULSENET_THREADS (default: CPU count)."""
-    cap = os.environ.get("PULSENET_THREADS")
-    if cap is None:
-        return os.cpu_count() or 1
-    try:
-        cap_n = int(cap)
-    except ValueError:
-        raise SimulationError(
-            f"PULSENET_THREADS must be an integer, got {cap!r}") from None
-    if cap_n < 1:
-        raise SimulationError("PULSENET_THREADS must be >= 1")
-    return cap_n
-
-
 def sweep_runs(spec: StimulusSpec, circ: LaserCircuit, param: str,
                values: Sequence[float], cfg: SimConfig,
-               workers: int | None = None,
                **net_kwargs) -> list[tuple[SweepPoint, Waveform]]:
     """Driver run per value of one stimulus field; summaries + currents.
 
-    ``param`` is one of :data:`SWEEP_PARAMS`.  Worker count is capped
-    by the ``PULSENET_THREADS`` environment variable (default: the CPU
-    count); results keep the order of ``values``.
+    ``param`` is one of :data:`SWEEP_PARAMS`; results keep the order of
+    ``values``.
     """
     if param not in SWEEP_PARAMS:
         raise SimulationError(
             f"unknown sweep parameter {param!r}; pick one of {SWEEP_PARAMS}")
     if not values:
         raise SimulationError("sweep needs at least one value")
-    cap_n = thread_cap()
-    n_workers = min(len(values), workers or cap_n, cap_n)
-
-    jobs = [(replace(spec, **{param: v}), circ, cfg, net_kwargs, v)
+    return [_sweep_point(replace(spec, **{param: v}), circ, cfg, v, **net_kwargs)
             for v in values]
-    if n_workers == 1:
-        return [_sweep_worker(job) for job in jobs]
-    with ThreadPoolExecutor(max_workers=n_workers) as pool:
-        return list(pool.map(_sweep_worker, jobs))
 
 
 def sweep(spec: StimulusSpec, circ: LaserCircuit, param: str,
           values: Sequence[float], cfg: SimConfig,
-          workers: int | None = None, **net_kwargs) -> list[SweepPoint]:
+          **net_kwargs) -> list[SweepPoint]:
     """Like :func:`sweep_runs` but summaries only."""
     return [point for point, _ in
-            sweep_runs(spec, circ, param, values, cfg, workers, **net_kwargs)]
+            sweep_runs(spec, circ, param, values, cfg, **net_kwargs)]
 
 
 def detector_filter(wave: Waveform, rise_time: float) -> Waveform:

@@ -1,15 +1,17 @@
 """Full driver runs: pulse geometry, tuning sweeps, detector filtering."""
 
+import warnings
+from dataclasses import replace
+
 import numpy as np
 import pytest
 
 from pulsenet import (Branch, Capacitor, CurrentSource, InitialCondition,
                       Inductor, LaserCircuit, Network, OutputFilter, Resistor,
-                      SimConfig, SimulationError, StimulusSpec, boundary,
-                      dc_operating_point, detector_filter, driver_network,
-                      fwhm, run_driver, sense_current, stimulus, sweep,
-                      sweep_runs, transient)
-from pulsenet.simulate import thread_cap
+                      SimConfig, SimulationError, StimulusSpec, SweepPoint,
+                      boundary, dc_operating_point, detector_filter,
+                      driver_network, fwhm, run_driver, sense_current,
+                      stimulus, sweep, sweep_runs, transient)
 
 TABLE = dict(R=2.555, L=6.184e-12, C=0.3557e-9, R_spon=2.811e-3, R_o=-5.511e-3)
 BIAS = 31e-3
@@ -104,24 +106,43 @@ def test_single_value_sweep_matches_a_plain_run():
     assert np.array_equal(wave.samples, direct.samples)
 
 
-def test_sweep_worker_count_does_not_change_results(monkeypatch):
+def test_sweep_points_equal_single_runs():
+    # Every point of a sweep is the plain run of its stimulus, bit for
+    # bit: the waveform and the summary both.
     cfg = SimConfig(t_end=6e-9, dt=2e-12)
-    serial = sweep_runs(pulse_spec(), circuit(), "amplitude",
-                        [10.5e-3, 8.2e-3], cfg, workers=1)
-    threaded = sweep_runs(pulse_spec(), circuit(), "amplitude",
-                          [10.5e-3, 8.2e-3], cfg, workers=2)
-    for (p1, w1), (p2, w2) in zip(serial, threaded):
-        assert p1 == p2
-        assert np.array_equal(w1.samples, w2.samples)
+    grid = {"delay": [1.5e-9, 2e-9, 2.5e-9],
+            "amplitude": [8.2e-3, 10.5e-3, 12e-3],
+            "width": [400e-12, 500e-12, 600e-12]}
+    for param, values in grid.items():
+        runs = sweep_runs(pulse_spec(), circuit(), param, values, cfg)
+        assert [point.value for point, _ in runs] == values
+        for value, (point, wave) in zip(values, runs):
+            spec = replace(pulse_spec(), **{param: value})
+            direct = sense_current(run_driver(spec, circuit(), cfg))
+            assert np.array_equal(wave.samples, direct.samples)
+            m = fwhm(direct.with_samples(direct.samples - BIAS))
+            peak = direct.samples[np.argmax(np.abs(direct.samples - BIAS))]
+            assert point == SweepPoint(
+                value=value, peak=float(peak), t_peak=m.t_peak, fwhm=m.fwhm,
+                t_mid=0.5 * (m.half_crossings[0] + m.half_crossings[1]))
 
-    monkeypatch.setenv("PULSENET_THREADS", "3")
-    assert thread_cap() == 3
-    monkeypatch.setenv("PULSENET_THREADS", "zero")
-    with pytest.raises(SimulationError, match="PULSENET_THREADS"):
-        thread_cap()
-    monkeypatch.setenv("PULSENET_THREADS", "0")
-    with pytest.raises(SimulationError, match=">= 1"):
-        thread_cap()
+
+def test_sweep_leaves_the_warning_filters_as_found(recwarn):
+    # At these amplitudes the trapezoid's flat top reaches its maximum
+    # sample in two separate places, so fwhm warns inside the sweep.
+    # That rests on the last bits of the run, hence the first check on
+    # the recorded warnings.
+    cfg = SimConfig(t_end=6e-9, dt=2e-12)
+    before = list(warnings.filters)
+    runs = sweep_runs(pulse_spec(), circuit(), "amplitude",
+                      [10.6e-3, 10.7e-3], cfg)
+    assert warnings.filters == before
+    assert any("separate places" in str(w.message) for w in recwarn)
+    recwarn.clear()
+    # A later fwhm on such a pulse still warns instead of raising.
+    _, sense = runs[0]
+    fwhm(sense.with_samples(sense.samples - BIAS))
+    assert any("separate places" in str(w.message) for w in recwarn)
 
 
 def test_sweep_argument_validation():
