@@ -213,8 +213,8 @@ def _cmd_sweep(args) -> int:
 def _apply_baseline(wave: Waveform, window_args) -> tuple[Waveform, float]:
     start = _qty(window_args[0], "s", "--baseline")
     stop = _qty(window_args[1], "s", "--baseline")
-    removed = float(np.mean(wave.slice_time(start, stop).samples))
-    return metrics.baseline_subtract(wave, (start, stop)), removed
+    removed = metrics.baseline_level(wave, (start, stop))
+    return wave.with_samples(wave.samples - removed), removed
 
 
 def _cmd_metrics(args) -> int:

@@ -89,14 +89,15 @@ def fwhm(wave: Waveform, baseline: float = 0.0) -> PulseMetrics:
                         half_crossings=(t_rise, t_fall))
 
 
-def baseline_subtract(wave: Waveform, window: tuple[float, float]) -> Waveform:
-    """Remove the mean over a quiet pre-pulse window from every sample.
+def baseline_level(wave: Waveform, window: tuple[float, float]) -> float:
+    """Mean over a quiet pre-pulse window: the level
+    :func:`baseline_subtract` removes.
 
     The window is given in seconds and must lie inside the waveform
     span with at least 8 samples.  If the window fluctuates more than
     ten times as much (in variance) as the same-length stretch next to
-    it, it very likely contains the pulse itself; the subtraction still
-    happens but a warning flags the suspect window.
+    it, it very likely contains the pulse itself; the mean is still
+    returned but a warning flags the suspect window.
     """
     t_start, t_stop = window
     if t_stop <= t_start:
@@ -129,7 +130,13 @@ def baseline_subtract(wave: Waveform, window: tuple[float, float]) -> Waveform:
                 f"baseline window variance {v_win:.3g} exceeds 10x the "
                 f"adjacent stretch ({v_adj:.3g}); the window looks like it "
                 "contains signal", stacklevel=2)
-    return wave.with_samples(wave.samples - mean)
+    return mean
+
+
+def baseline_subtract(wave: Waveform, window: tuple[float, float]) -> Waveform:
+    """Remove the mean over a quiet pre-pulse window from every sample
+    (see :func:`baseline_level` for the window's requirements)."""
+    return wave.with_samples(wave.samples - baseline_level(wave, window))
 
 
 def _rising_crossing(wave: Waveform, level: float, which: str) -> float:

@@ -10,22 +10,23 @@ branch current, all oriented start to end):
     trapezoidal      capacitor  g = 2C/dt     i' = g (u' - u) - i
                      inductor   g = dt/(2L)   i' = i + g (u + u')
 
-The system matrix is constant for a fixed dt, so it is LU-factorized
-once, and the whole step is then linear in the state z = (capacitor u
-and i, inductor u and i) and the source values s_n.  ``transient``
-compiles it once, by applying the one-step assembly and update to unit
-vectors, into
+The system matrix G is constant for a fixed dt, so the whole step is
+linear in the state z = (capacitor u and i, inductor u and i) and the
+source values s_n.  ``transient`` compiles it once, by applying the
+one-step assembly and update to unit vectors, into
 
     z_n = M z_{n-1} + N s_n        G x_n = Rz z_{n-1} + Rs s_n
 
 so each step of the recurrence costs one small matrix-vector product.
 Everything full-length is computed in fixed-size blocks of steps and
 written straight into the record: the source drive N s, the unknowns x
-(one LU solve for the whole block), the branch currents, and the
-current-law audit, which pushes each block's branch currents through
-the full incidence matrix.  If any node's residual over the run exceeds
-``solver_tol`` times the current scale, the run is rejected rather than
-silently returned.
+(one LU solve of G for the whole block, by ``numpy.linalg.solve``),
+the branch currents, and the current-law audit, which pushes each
+block's branch currents through the full incidence matrix.  If any
+node's residual over the run exceeds ``solver_tol`` times the current
+scale, the run is rejected rather than silently returned.  The record
+is frozen at the end, so its waveforms share it instead of copying it.
+The module needs numpy only.
 
 Trapezoidal integration is the default: it is second order and, for
 lossless LC loops, preserves the stored energy exactly (in exact
@@ -39,8 +40,6 @@ from dataclasses import dataclass, field, replace
 from typing import Mapping, Sequence
 
 import numpy as np
-from scipy.linalg import LinAlgError, lu_factor, lu_solve
-from scipy.signal import lfilter
 
 from .driver import SENSE_BRANCH, StimulusSpec, driver_network
 from .elements import (Capacitor, CurrentSource, Inductor, Resistor,
@@ -124,20 +123,15 @@ class SimResult:
         return first.times()
 
 
-def _factorize(G: np.ndarray, message: str):
-    """LU-factorize, turning singularity into a SimulationError."""
-    import warnings
-
-    with warnings.catch_warnings():
-        warnings.simplefilter("error")
-        try:
-            lu = lu_factor(G)
-        except (LinAlgError, Warning) as exc:
-            raise SimulationError(f"{message} ({exc})") from exc
-    diag = np.abs(np.diag(lu[0]))
-    if G.size and (not np.all(np.isfinite(lu[0])) or np.min(diag) == 0.0):
+def _solve(G: np.ndarray, rhs: np.ndarray, message: str) -> np.ndarray:
+    """Solve G x = rhs by LU (LAPACK gesv), turning singularity into a
+    SimulationError.  G is never inverted: its condition reaches 8e11."""
+    if not np.all(np.isfinite(G)):
         raise SimulationError(message)
-    return lu
+    try:
+        return np.linalg.solve(G, rhs)
+    except np.linalg.LinAlgError as exc:
+        raise SimulationError(f"{message} ({exc})") from exc
 
 
 def _checked_network(net: Network) -> None:
@@ -271,9 +265,9 @@ def transient(net: Network, cfg: SimConfig,
             raise SimulationError(
                 f"branch {br.id!r}: unsupported element {type(el).__name__}")
 
-    lu = _factorize(Gp[:n_x, :n_x],
-                    "singular system matrix; check for voltage-source loops "
-                    "or current-source cutsets")
+    G = Gp[:n_x, :n_x]
+    singular = ("singular system matrix; check for voltage-source loops "
+                "or current-source cutsets")
 
     res_idx_a = np.asarray(res_idx, dtype=np.intp)
     res_g_a = np.asarray(res_g)[:, None]
@@ -327,7 +321,7 @@ def transient(net: Network, cfg: SimConfig,
     # companion conductance, not after.
     unit = np.eye(n_z + len(sources))
     r_unit = assemble(unit[:n_z], unit[n_z:])
-    z_unit = advance(unit[:n_z], lu_solve(lu, r_unit))
+    z_unit = advance(unit[:n_z], _solve(G, r_unit, singular))
     Rz, Rs = r_unit[:, :n_z], r_unit[:, n_z:]
     Mt = np.ascontiguousarray(z_unit[:, :n_z].T)
     N = z_unit[:, n_z:]
@@ -394,7 +388,7 @@ def transient(net: Network, cfg: SimConfig,
         z = zs[-1].copy()
 
         x_pad = np.zeros((n_x + 1, hi - lo))
-        x_pad[:n_x] = lu_solve(lu, Rz @ zs[:-1].T + Rs @ s)
+        x_pad[:n_x] = _solve(G, Rz @ zs[:-1].T + Rs @ s, singular)
         u = x_pad[a_rows] - x_pad[b_rows]
         z_new = zs[1:].T
         V_rec[:, lo:hi] = x_pad[:n_v]
@@ -416,6 +410,8 @@ def transient(net: Network, cfg: SimConfig,
             f"{cfg.solver_tol:g} of the {audit_scale:.3e} A current scale; "
             "the system is too ill-conditioned for this dt")
 
+    I_rec.setflags(write=False)
+    V_rec.setflags(write=False)
     node_waves = {}
     for label, r in row.items():
         samples = V_rec[r] if r >= 0 else np.zeros(steps + 1)
@@ -481,8 +477,7 @@ def dc_operating_point(net: Network, t: float = 0.0) -> InitialCondition:
             raise SimulationError(
                 f"branch {br.id!r}: unsupported element {type(el).__name__}")
 
-    lu = _factorize(Gp[:n_x, :n_x], "operating point is singular")
-    x = lu_solve(lu, rhs[:n_x])
+    x = _solve(Gp[:n_x, :n_x], rhs[:n_x], "operating point is singular")
     if not np.all(np.isfinite(x)):
         raise SimulationError("operating point is singular")
 
@@ -535,7 +530,8 @@ def _sweep_point(spec: StimulusSpec, circ: LaserCircuit, cfg: SimConfig,
     peak = float(sense.samples[np.argmax(np.abs(sense.samples - spec.bias))])
     point = SweepPoint(value=value, peak=peak, t_peak=m.t_peak, fwhm=m.fwhm,
                        t_mid=0.5 * (m.half_crossings[0] + m.half_crossings[1]))
-    return point, sense
+    # A copy of the sense row, so that the run's whole record is freed.
+    return point, sense.with_samples(sense.samples.copy())
 
 
 def sweep_runs(spec: StimulusSpec, circ: LaserCircuit, param: str,
@@ -574,6 +570,14 @@ def detector_filter(wave: Waveform, rise_time: float) -> Waveform:
         raise SimulationError(f"rise time must be > 0 s, got {rise_time}")
     tau = rise_time / math.log(9.0)
     c = 1.0 - math.exp(-wave.dt / tau)
-    x = wave.samples
-    y, _ = lfilter([c], [1.0, -(1.0 - c)], x, zi=[(1.0 - c) * x[0]])
+    # y[k] = c x[k] + (1 - c) y[k-1], in the operation order of the
+    # transposed direct form (scipy.signal.lfilter), started settled.
+    a = 1.0 - c
+    x = wave.samples.tolist()
+    y = []
+    z = a * x[0]
+    for xk in x:
+        yk = c * xk + z
+        y.append(yk)
+        z = a * yk
     return wave.with_samples(y)

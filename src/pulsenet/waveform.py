@@ -23,6 +23,16 @@ from .errors import WaveformError
 DT_UNIFORMITY_RTOL = 1e-6
 
 
+def _frozen(arr) -> bool:
+    """True when no array in ``arr``'s ``.base`` chain is writable and
+    the chain ends in an array owning its memory."""
+    while isinstance(arr, np.ndarray):
+        if arr.flags.writeable:
+            return False
+        arr = arr.base
+    return arr is None
+
+
 @dataclass(frozen=True)
 class Waveform:
     """Uniformly sampled real signal.
@@ -34,7 +44,9 @@ class Waveform:
     dt : float
         Sample interval, seconds, strictly positive.
     samples : array_like
-        Sample values; copied into a read-only float64 array.
+        Sample values; copied into a read-only float64 array, unless
+        they already are a 1-D float64 array that nothing can write
+        (read-only down its whole ``.base`` chain), which is kept.
     unit : str
         Unit tag for the values, e.g. ``"A"`` or ``"V"``.  Purely
         informational; empty string means dimensionless.
@@ -46,7 +58,10 @@ class Waveform:
     unit: str = ""
 
     def __post_init__(self) -> None:
-        arr = np.array(self.samples, dtype=np.float64, copy=True)
+        arr = self.samples
+        if not (type(arr) is np.ndarray and arr.dtype == np.float64
+                and arr.ndim == 1 and _frozen(arr)):
+            arr = np.array(arr, dtype=np.float64, copy=True)
         if arr.ndim != 1:
             raise WaveformError("samples must be one-dimensional")
         if arr.size < 2:

@@ -1,11 +1,15 @@
 """End-to-end command line runs against the shipped configs."""
 
+import os
 import re
+import subprocess
+import sys
 from pathlib import Path
 
 import numpy as np
 import pytest
 
+import pulsenet
 from pulsenet import cli
 from pulsenet.waveform import read_waveform_csv, write_waveform_csv
 from conftest import gaussian_wave
@@ -152,6 +156,37 @@ def test_metrics_of_a_saved_waveform(tmp_path, capsys):
     assert first_number(rows["fwhm"]) == pytest.approx(FWHM_PER_SIGMA * sigma,
                                                        abs=5e-12)
     assert rows["unit"] == "A"
+
+
+def test_baseline_removed_is_the_level_subtracted(tmp_path, capsys):
+    # A pedestal whose plain np.mean over the 201-sample window is not
+    # exactly 31 mA: the printed level must be the one subtracted.
+    wave = gaussian_wave(150e-12, 5e-12, center=3e-9, half_span=2e-9,
+                         amplitude=7.5e-3, unit="A")
+    pedestal = wave.with_samples(wave.samples + 31e-3)
+    window = pedestal.samples[:201]
+    assert np.all(window == 31e-3)
+
+    subtracted, removed = cli._apply_baseline(pedestal, ["0s", "1ns"])
+    assert np.all(window - subtracted.samples[:201] == removed)
+
+    path = tmp_path / "pulse.csv"
+    write_waveform_csv(path, pedestal)
+    assert cli.main(["metrics", str(path), "--baseline", "0s", "1ns"]) == 0
+    assert kv(capsys.readouterr().out)["baseline removed"] == f"{removed:.9g}"
+
+
+@pytest.mark.parametrize("module", ["pulsenet", "pulsenet.cli"])
+def test_import_loads_no_scipy(module):
+    src = str(Path(pulsenet.__file__).resolve().parent.parent)
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(
+        p for p in (src, env.get("PYTHONPATH")) if p)
+    code = (f"import sys, {module}; "
+            "print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))")
+    out = subprocess.run([sys.executable, "-c", code], env=env, check=True,
+                         capture_output=True, text=True).stdout
+    assert out.strip() == "[]"
 
 
 def test_compare_reports_the_shift(tmp_path, capsys):

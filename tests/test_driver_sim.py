@@ -1,5 +1,6 @@
 """Full driver runs: pulse geometry, tuning sweeps, detector filtering."""
 
+import math
 import warnings
 from dataclasses import replace
 
@@ -120,6 +121,8 @@ def test_sweep_points_equal_single_runs():
             spec = replace(pulse_spec(), **{param: value})
             direct = sense_current(run_driver(spec, circuit(), cfg))
             assert np.array_equal(wave.samples, direct.samples)
+            # The point holds its own samples, not the run's whole record.
+            assert wave.samples.base is None
             m = fwhm(direct.with_samples(direct.samples - BIAS))
             peak = direct.samples[np.argmax(np.abs(direct.samples - BIAS))]
             assert point == SweepPoint(
@@ -198,6 +201,21 @@ def test_detector_filter_passthrough_limit():
     assert err <= 0.01
     with pytest.raises(SimulationError, match="rise time"):
         detector_filter(wave, 0.0)
+
+
+@pytest.mark.parametrize("n", [6001, 100_000])
+def test_detector_filter_matches_lfilter_bit_for_bit(n):
+    signal = pytest.importorskip("scipy.signal")
+    from pulsenet import Waveform
+    rng = np.random.default_rng(n)
+    wave = Waveform(0.0, 1e-12, rng.normal(31e-3, 5e-3, size=n), "A")
+    rise = 500e-12
+    out = detector_filter(wave, rise)
+    c = 1.0 - math.exp(-wave.dt / (rise / math.log(9.0)))
+    x = wave.samples
+    ref, _ = signal.lfilter([c], [1.0, -(1.0 - c)], x, zi=[(1.0 - c) * x[0]])
+    assert np.array_equal(out.samples, ref)
+    assert (out.t0, out.dt, out.unit) == (wave.t0, wave.dt, wave.unit)
 
 
 def test_backward_euler_dissipates_stored_energy():

@@ -147,6 +147,25 @@ def test_merged_pass_matches_brute_force():
         assert res.d_stat == num / (m * n)
 
 
+def test_against_scipy_oracle():
+    stats = pytest.importorskip("scipy.stats")
+    rng = np.random.default_rng(29)
+    for k in range(200):
+        m = int(rng.integers(1, 400))
+        n = int(rng.integers(1, 400))
+        if k % 2:  # quantized values: ties within and across the samples
+            a = rng.integers(0, 20, size=m).astype(float)
+            b = rng.integers(0, 20, size=n).astype(float)
+        else:
+            a = rng.normal(size=m)
+            b = rng.normal(rng.uniform(-0.5, 0.5), 1.0, size=n)
+        d_ref = stats.ks_2samp(a, b).statistic
+        assert ks_two_sample(a, b).d_stat == pytest.approx(d_ref, rel=1e-12)
+    for lam in np.linspace(0.0, 3.0, 301):
+        assert kolmogorov_q(float(lam)) == pytest.approx(
+            stats.kstwobign.sf(lam), abs=1e-10)
+
+
 def test_d_is_a_rank_statistic():
     rng = np.random.default_rng(23)
     a = rng.normal(size=40)

@@ -116,6 +116,21 @@ def test_grid_refinement_orders():
     assert 3.6 <= tr_ratio <= 4.4   # second order
 
 
+def test_record_is_shared_read_only():
+    res = transient(rc_network(), SimConfig(t_end=1e-6, dt=1e-8))
+    for wave in (res.node_voltages["b"], res.branch_currents["R"]):
+        with pytest.raises(ValueError):
+            wave.samples[1] = 0.0
+        record = wave.samples.base
+        assert record is not None and not record.flags.writeable
+        with pytest.raises(ValueError):
+            record[0, 1] = 0.0
+    # Node voltages share one record, branch currents another.
+    v, i = res.node_voltages, res.branch_currents
+    assert v["a"].samples.base is v["b"].samples.base
+    assert i["C"].samples.base is i["R"].samples.base
+
+
 def test_operating_point_divider_and_source_current():
     net = Network.from_branches([
         Branch("VS", "a", "0", VoltageSource(10.0)),

@@ -22,6 +22,18 @@ def test_samples_are_read_only_and_copied():
     with pytest.raises(ValueError):
         w.samples[0] = 5.0
 
+    # A read-only view of a writable array can still change: copied.
+    view = src[:]
+    view.setflags(write=False)
+    assert not np.shares_memory(Waveform(0.0, 1.0, view).samples, src)
+
+    # An array that nothing can write is kept as it is, slices too.
+    frozen = np.array([0.0, 1.0, 2.0])
+    frozen.setflags(write=False)
+    assert Waveform(0.0, 1.0, frozen).samples is frozen
+    part = Waveform(0.0, 1.0, frozen).slice_time(1.0, 2.0)
+    assert np.shares_memory(part.samples, frozen)
+
 
 def test_validation():
     with pytest.raises(WaveformError, match="two samples"):
