@@ -15,9 +15,9 @@ from .kstest import (EmpiricalCdf, KsResult, ecdf, kolmogorov_q,
                      ks_two_sample, waveform_samples_for_cdf)
 from .laser import (LaserCircuit, LaserPhysics, circuit_from_physics,
                     differential_resistance, equivalent_network,
-                    physics_from_circuit, recalibrated)
+                    physics_from_circuit)
 from .metrics import (PulseMetrics, baseline_subtract, delay_at_level, fwhm,
-                      normalize_align, zero_outside_window)
+                      normalize_align)
 from .netlist import emit_netlist, parse_netlist, read_netlist, write_netlist
 from .driver import (BiasTee, OutputFilter, StimulusSpec, driver_network,
                      stimulus)
@@ -26,7 +26,7 @@ from .simulate import (InitialCondition, SimConfig, SimResult, SweepPoint,
                        sense_current, sweep, sweep_runs, transient)
 from .topology import (Branch, CycleBasis, Network, boundary,
                        connected_components, cycle_rank, cycle_space,
-                       in_cycle_space, kcl_residual, node_balance_output)
+                       in_cycle_space, kcl_residual)
 from .waveform import Waveform, read_waveform_csv, write_waveform_csv
 
 __version__ = "0.1.0"
@@ -45,10 +45,9 @@ __all__ = [
     "dc_operating_point", "delay_at_level", "detector_filter",
     "differential_resistance", "driver_network", "ecdf", "emit_netlist",
     "equivalent_network", "fwhm", "in_cycle_space", "kcl_residual",
-    "kolmogorov_q", "ks_two_sample", "node_balance_output",
-    "normalize_align", "parse_netlist", "physics_from_circuit",
-    "read_netlist", "read_waveform_csv", "recalibrated", "run_driver",
-    "sense_current", "stimulus", "sweep", "sweep_runs", "transient",
-    "waveform_samples_for_cdf", "write_netlist", "write_waveform_csv",
-    "zero_outside_window",
+    "kolmogorov_q", "ks_two_sample", "normalize_align", "parse_netlist",
+    "physics_from_circuit", "read_netlist", "read_waveform_csv",
+    "run_driver", "sense_current", "stimulus", "sweep", "sweep_runs",
+    "transient", "waveform_samples_for_cdf", "write_netlist",
+    "write_waveform_csv",
 ]

@@ -24,7 +24,7 @@ measured impedance fit back to rate-equation quantities.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 
 from .errors import ModelError
 from .topology import Branch, Network
@@ -229,13 +229,3 @@ def equivalent_network(circ: LaserCircuit, anode: str = "anode",
     return Network.from_branches(equivalent_branches(circ, anode, cathode, prefix),
                                  reference=cathode)
 
-
-def recalibrated(phys: LaserPhysics, temperature: float | None = None,
-                 bias_current: float | None = None) -> LaserPhysics:
-    """Same device constants at a different bias point or temperature."""
-    kwargs = {}
-    if temperature is not None:
-        kwargs["temperature"] = temperature
-    if bias_current is not None:
-        kwargs["bias_current"] = bias_current
-    return replace(phys, **kwargs)

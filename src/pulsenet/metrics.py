@@ -53,13 +53,17 @@ def fwhm(wave: Waveform, baseline: float = 0.0) -> PulseMetrics:
     if not peak > baseline:
         raise MetricsError(
             f"peak {peak:g} does not rise above the baseline {baseline:g}")
-    maxima = np.flatnonzero(s == peak)
-    runs = int(np.count_nonzero(np.diff(maxima) > 1)) + 1
+    # A flat top's samples differ in their last bits; only samples
+    # that leave the top between them make separate places.
+    near = np.flatnonzero(s >= peak - 1e-9 * (peak - baseline))
+    runs = int(np.count_nonzero(np.diff(near) > 1)) + 1
     if runs > 1:
         warnings.warn(
-            f"waveform attains its maximum in {runs} separate places; "
-            "using the earliest", stacklevel=2)
-    i_pk = int(maxima[0])
+            f"waveform reaches its maximum (to 1e-9 of the pulse height) "
+            f"in {runs} separate places; measuring the pulse that holds "
+            "the highest sample, which need not be the earliest",
+            stacklevel=2)
+    i_pk = int(np.argmax(s))
     half = baseline + 0.5 * (peak - baseline)
 
     lo = i_pk
@@ -158,24 +162,6 @@ def delay_at_level(first: Waveform, second: Waveform, level: float) -> float:
     """
     return _rising_crossing(second, level, "second") \
         - _rising_crossing(first, level, "first")
-
-
-def zero_outside_window(wave: Waveform, half_width: float,
-                        center: float | None = None) -> Waveform:
-    """Zero every sample outside ``[center - half_width, center + half_width]``.
-
-    Crude but effective suppression of parasitic ringing away from the
-    pulse; ``center`` defaults to the time of the maximum sample.
-    """
-    if not half_width > 0:
-        raise MetricsError(f"half_width must be > 0 s, got {half_width}")
-    if center is None:
-        center = wave.t0 + wave.dt * int(np.argmax(wave.samples))
-    t = wave.times()
-    keep = np.abs(t - center) <= half_width
-    if not np.any(keep):
-        raise MetricsError("window keeps no samples")
-    return wave.with_samples(np.where(keep, wave.samples, 0.0))
 
 
 def normalize_align(first: Waveform, second: Waveform

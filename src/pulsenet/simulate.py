@@ -28,6 +28,10 @@ scale, the run is rejected rather than silently returned.  The record
 is frozen at the end, so its waveforms share it instead of copying it.
 The module needs numpy only.
 
+``transient`` and ``dc_operating_point`` stamp G with one assembler,
+``_assemble``; they differ only in the conductance each element gets
+(at DC, inductors join the voltage sources as current unknowns).
+
 Trapezoidal integration is the default: it is second order and, for
 lossless LC loops, preserves the stored energy exactly (in exact
 arithmetic), which backward Euler visibly damps.
@@ -37,16 +41,16 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field, replace
-from typing import Mapping, Sequence
+from typing import Callable, Mapping, Sequence
 
 import numpy as np
 
 from .driver import SENSE_BRANCH, StimulusSpec, driver_network
-from .elements import (Capacitor, CurrentSource, Inductor, Resistor,
+from .elements import (Capacitor, CurrentSource, Element, Inductor, Resistor,
                        VoltageSource)
 from .errors import SimulationError
 from .laser import LaserCircuit
-from .topology import Network, boundary, connected_components
+from .topology import Branch, Network, boundary, connected_components
 from .waveform import Waveform
 
 METHODS = ("trapezoidal", "backward-euler")
@@ -75,6 +79,11 @@ class SimConfig:
         if not self.t_end >= self.dt:
             raise SimulationError(
                 f"t_end = {self.t_end!r} s must cover at least one step of {self.dt!r} s")
+        steps = self.t_end / self.dt
+        if abs(steps - round(steps)) > 1e-6:
+            raise SimulationError(
+                f"t_end = {self.t_end!r} s is {steps:.9g} steps of {self.dt!r} s; "
+                "it must be a whole number of steps")
         if self.method not in METHODS:
             raise SimulationError(
                 f"unknown method {self.method!r}; pick one of {METHODS}")
@@ -83,7 +92,7 @@ class SimConfig:
 
     @property
     def steps(self) -> int:
-        return max(1, int(round(self.t_end / self.dt)))
+        return int(round(self.t_end / self.dt))
 
 
 @dataclass(frozen=True)
@@ -144,6 +153,9 @@ def _checked_network(net: Network) -> None:
     for br in net.branches:
         if br.element is None:
             raise SimulationError(f"branch {br.id!r} carries no element")
+        if not isinstance(br.element, Element):
+            raise SimulationError(f"branch {br.id!r}: unsupported element "
+                                  f"{type(br.element).__name__}")
         if br.start == br.end:
             raise SimulationError(f"branch {br.id!r} is a self-loop")
     # Every node must reach the reference, otherwise the nodal matrix
@@ -155,12 +167,60 @@ def _checked_network(net: Network) -> None:
             f"nodes {floating} have no path to reference {net.reference!r}")
 
 
-def _source_samples(value, times: np.ndarray) -> np.ndarray:
-    """Read-only source value on the simulation grid (aligned waveforms
-    verbatim, without a copy)."""
+def _assemble(net: Network, conductance: Callable[[Element], float | None]
+              ) -> tuple[dict[str, int], np.ndarray, np.ndarray, np.ndarray,
+                         np.ndarray]:
+    """Modified-nodal matrix of ``net``, stamped in branch order.
+
+    ``conductance(element)`` is what a branch stamps between its ends:
+    a conductance, 0.0 for nothing (a current source), or None when the
+    branch current is itself an unknown.  Those currents take the
+    columns after the node voltages, in branch order.  Returns the row
+    map (the reference is -1), G with one extra row and column that
+    catch the reference-node stamps, each branch's start and end rows in
+    that padded G, and each branch's conductance (0.0 for None).
+    """
+    g = [conductance(br.element) for br in net.branches]
+    pad = len(net.nodes) - 1 + g.count(None)
+    row = {label: k for k, label in
+           enumerate(n for n in net.nodes if n != net.reference)}
+    row[net.reference] = -1
+    a_rows = np.array([row[br.start] for br in net.branches], dtype=np.intp)
+    b_rows = np.array([row[br.end] for br in net.branches], dtype=np.intp)
+    a_rows[a_rows < 0] = pad
+    b_rows[b_rows < 0] = pad
+    Gp = np.zeros((pad + 1, pad + 1))
+    j = len(net.nodes) - 1
+    for ia, ib, gk in zip(a_rows.tolist(), b_rows.tolist(), g):
+        if gk is None:
+            Gp[ia, j] += 1.0
+            Gp[ib, j] -= 1.0
+            Gp[j, ia] += 1.0
+            Gp[j, ib] -= 1.0
+            j += 1
+        elif gk:
+            Gp[ia, ia] += gk
+            Gp[ib, ib] += gk
+            Gp[ia, ib] -= gk
+            Gp[ib, ia] -= gk
+    return row, Gp, a_rows, b_rows, np.array([gk or 0.0 for gk in g])
+
+
+def _source_samples(br: Branch, times: np.ndarray) -> np.ndarray:
+    """Read-only value of a source branch on the simulation grid (aligned
+    waveforms verbatim, without a copy).  A waveform must span the grid
+    to within half a step."""
+    el = br.element
+    value = el.amps if isinstance(el, CurrentSource) else el.volts
     if isinstance(value, Waveform):
         n = times.size
         dt = float(times[1] - times[0])
+        if (value.t0 > times[0] + 0.5 * dt
+                or value.t_end < times[-1] - 0.5 * dt):
+            raise SimulationError(
+                f"branch {br.id!r}: waveform source spans [{value.t0:g}, "
+                f"{value.t_end:g}] s, short of the run [{times[0]:g}, "
+                f"{times[-1]:g}] s")
         aligned = (len(value) >= n
                    and abs(value.t0 - times[0]) <= 1e-9 * dt
                    and abs(value.dt - dt) <= 1e-12 * dt)
@@ -191,93 +251,34 @@ def transient(net: Network, cfg: SimConfig,
     trap = cfg.method == "trapezoidal"
     times = dt * np.arange(steps + 1)
 
-    row = {label: k for k, label in
-           enumerate(n for n in net.nodes if n != net.reference)}
-    row[net.reference] = -1
-    n_v = len(net.nodes) - 1
-
-    vsrc_ids = [br.id for br in net.branches if isinstance(br.element, VoltageSource)]
-    vsrc_col = {bid: n_v + j for j, bid in enumerate(vsrc_ids)}
-    n_x = n_v + len(vsrc_ids)
-
-    pad = n_x  # scratch row/col catching reference-node stamps
-    # Stamp into an (n_x+1)^2 scratch so reference rows land in the pad.
-    Gp = np.zeros((n_x + 1, n_x + 1))
-
-    def conduct(a: int, b: int, g: float) -> None:
-        ia = a if a >= 0 else pad
-        ib = b if b >= 0 else pad
-        Gp[ia, ia] += g
-        Gp[ib, ib] += g
-        Gp[ia, ib] -= g
-        Gp[ib, ia] -= g
-
-    # Per-kind bookkeeping, all index arrays.
-    res_idx: list[int] = []
-    res_g: list[float] = []
-    cap_idx: list[int] = []
-    cap_g: list[float] = []
-    ind_idx: list[int] = []
-    ind_g: list[float] = []
-    isrc_idx: list[int] = []
-    isrc_vals: list[np.ndarray] = []
-    vsrc_idx: list[int] = []
-    vsrc_vals: list[np.ndarray] = []
-
-    a_rows = np.empty(len(net.branches), dtype=np.intp)
-    b_rows = np.empty(len(net.branches), dtype=np.intp)
-
-    for k, br in enumerate(net.branches):
-        a = row[br.start]
-        b = row[br.end]
-        a_rows[k] = a if a >= 0 else pad
-        b_rows[k] = b if b >= 0 else pad
-        el = br.element
+    def companion(el: Element) -> float | None:
         if isinstance(el, Resistor):
-            g = 1.0 / el.ohms
-            conduct(a, b, g)
-            res_idx.append(k)
-            res_g.append(g)
-        elif isinstance(el, Capacitor):
-            g = (2.0 * el.farads / dt) if trap else (el.farads / dt)
-            conduct(a, b, g)
-            cap_idx.append(k)
-            cap_g.append(g)
-        elif isinstance(el, Inductor):
-            g = (dt / (2.0 * el.henries)) if trap else (dt / el.henries)
-            conduct(a, b, g)
-            ind_idx.append(k)
-            ind_g.append(g)
-        elif isinstance(el, CurrentSource):
-            isrc_idx.append(k)
-            isrc_vals.append(_source_samples(el.amps, times))
-        elif isinstance(el, VoltageSource):
-            j = vsrc_col[br.id]
-            ia = a if a >= 0 else pad
-            ib = b if b >= 0 else pad
-            Gp[ia, j] += 1.0
-            Gp[ib, j] -= 1.0
-            Gp[j, ia] += 1.0
-            Gp[j, ib] -= 1.0
-            vsrc_idx.append(k)
-            vsrc_vals.append(_source_samples(el.volts, times))
-        else:
-            raise SimulationError(
-                f"branch {br.id!r}: unsupported element {type(el).__name__}")
+            return 1.0 / el.ohms
+        if isinstance(el, Capacitor):
+            return (2.0 * el.farads / dt) if trap else (el.farads / dt)
+        if isinstance(el, Inductor):
+            return (dt / (2.0 * el.henries)) if trap else (dt / el.henries)
+        return None if isinstance(el, VoltageSource) else 0.0
+
+    row, Gp, a_rows, b_rows, g = _assemble(net, companion)
+    n_v = len(net.nodes) - 1
+    n_x = len(Gp) - 1
+    g_br = g[:, None]
+
+    def of_kind(kind: type) -> np.ndarray:
+        return np.array([k for k, br in enumerate(net.branches)
+                         if isinstance(br.element, kind)], dtype=np.intp)
+
+    res_idx, cap_idx, ind_idx, isrc_idx, vsrc_idx = map(
+        of_kind, (Resistor, Capacitor, Inductor, CurrentSource, VoltageSource))
+    res_g, cap_g, ind_g = g_br[res_idx], g_br[cap_idx], g_br[ind_idx]
+    isrc_vals = [_source_samples(net.branches[k], times) for k in isrc_idx]
+    sources = isrc_vals + [_source_samples(net.branches[k], times)
+                           for k in vsrc_idx]
 
     G = Gp[:n_x, :n_x]
     singular = ("singular system matrix; check for voltage-source loops "
                 "or current-source cutsets")
-
-    res_idx_a = np.asarray(res_idx, dtype=np.intp)
-    res_g_a = np.asarray(res_g)[:, None]
-    cap_idx_a = np.asarray(cap_idx, dtype=np.intp)
-    cap_g_a = np.asarray(cap_g)[:, None]
-    ind_idx_a = np.asarray(ind_idx, dtype=np.intp)
-    ind_g_a = np.asarray(ind_g)[:, None]
-    isrc_idx_a = np.asarray(isrc_idx, dtype=np.intp)
-    vsrc_idx_a = np.asarray(vsrc_idx, dtype=np.intp)
-    sources = isrc_vals + vsrc_vals
     n_c, n_l, n_i = len(cap_idx), len(ind_idx), len(isrc_idx)
     n_z = 2 * (n_c + n_l)
     # State layout: cap_u, cap_i, ind_u, ind_i.
@@ -289,16 +290,16 @@ def transient(net: Network, cfg: SimConfig,
         cap_u, cap_i, ind_u, ind_i = np.split(z, [n_c, 2 * n_c, 2 * n_c + n_l])
         rhs = np.zeros((n_x + 1, z.shape[1]))
         # independent sources
-        np.subtract.at(rhs, a_rows[isrc_idx_a], s[:n_i])
-        np.add.at(rhs, b_rows[isrc_idx_a], s[:n_i])
+        np.subtract.at(rhs, a_rows[isrc_idx], s[:n_i])
+        np.add.at(rhs, b_rows[isrc_idx], s[:n_i])
         rhs[n_v:n_x] = s[n_i:]
         # companion histories
-        cap_hist = cap_g_a * cap_u + (cap_i if trap else 0.0)
-        np.add.at(rhs, a_rows[cap_idx_a], cap_hist)
-        np.subtract.at(rhs, b_rows[cap_idx_a], cap_hist)
-        ind_hist = ind_i + (ind_g_a * ind_u if trap else 0.0)
-        np.subtract.at(rhs, a_rows[ind_idx_a], ind_hist)
-        np.add.at(rhs, b_rows[ind_idx_a], ind_hist)
+        cap_hist = cap_g * cap_u + (cap_i if trap else 0.0)
+        np.add.at(rhs, a_rows[cap_idx], cap_hist)
+        np.subtract.at(rhs, b_rows[cap_idx], cap_hist)
+        ind_hist = ind_i + (ind_g * ind_u if trap else 0.0)
+        np.subtract.at(rhs, a_rows[ind_idx], ind_hist)
+        np.add.at(rhs, b_rows[ind_idx], ind_hist)
         return rhs[:n_x]
 
     def advance(z: np.ndarray, x: np.ndarray) -> np.ndarray:
@@ -306,10 +307,10 @@ def transient(net: Network, cfg: SimConfig,
         cap_u, cap_i, ind_u, ind_i = np.split(z, [n_c, 2 * n_c, 2 * n_c + n_l])
         x_pad = np.vstack([x, np.zeros((1, x.shape[1]))])
         branch_u = x_pad[a_rows] - x_pad[b_rows]
-        new_cap_u = branch_u[cap_idx_a]
-        new_cap_i = cap_g_a * (new_cap_u - cap_u) - (cap_i if trap else 0.0)
-        new_ind_u = branch_u[ind_idx_a]
-        new_ind_i = ind_i + ind_g_a * ((new_ind_u + ind_u) if trap else new_ind_u)
+        new_cap_u = branch_u[cap_idx]
+        new_cap_i = cap_g * (new_cap_u - cap_u) - (cap_i if trap else 0.0)
+        new_ind_u = branch_u[ind_idx]
+        new_ind_i = ind_i + ind_g * ((new_ind_u + ind_u) if trap else new_ind_u)
         return np.vstack([new_cap_u, new_cap_i, new_ind_u, new_ind_i])
 
     # The step is linear in (z, s).  Its response to unit vectors gives
@@ -338,9 +339,9 @@ def transient(net: Network, cfg: SimConfig,
 
     branch_u = v0_pad[a_rows] - v0_pad[b_rows]
     z = np.concatenate([
-        branch_u[cap_idx_a],
+        branch_u[cap_idx],
         [init_i.get(net.branches[k].id, 0.0) for k in cap_idx],
-        branch_u[ind_idx_a],
+        branch_u[ind_idx],
         [init_i.get(net.branches[k].id, 0.0) for k in ind_idx]])
 
     n_br = len(net.branches)
@@ -349,11 +350,11 @@ def transient(net: Network, cfg: SimConfig,
     V_rec[:, 0] = v0_pad[:n_v]
 
     # t = 0 column from the supplied state.
-    I_rec[res_idx_a, 0] = branch_u[res_idx_a] * res_g_a[:, 0]
-    I_rec[cap_idx_a, 0] = z[cap_i_rows]
-    I_rec[ind_idx_a, 0] = z[ind_i_rows]
-    I_rec[isrc_idx_a, 0] = [src[0] for src in isrc_vals]
-    I_rec[vsrc_idx_a, 0] = [init_i.get(net.branches[k].id, 0.0) for k in vsrc_idx]
+    I_rec[res_idx, 0] = branch_u[res_idx] * res_g[:, 0]
+    I_rec[cap_idx, 0] = z[cap_i_rows]
+    I_rec[ind_idx, 0] = z[ind_i_rows]
+    I_rec[isrc_idx, 0] = [src[0] for src in isrc_vals]
+    I_rec[vsrc_idx, 0] = [init_i.get(net.branches[k].id, 0.0) for k in vsrc_idx]
 
     # Current-law audit, accumulated block by block.  t = 0 is supplied
     # state, not a solution, so its residual is not judged; it counts
@@ -362,13 +363,9 @@ def transient(net: Network, cfg: SimConfig,
     # floats on those intermediates, not on the (possibly tiny) net
     # currents.
     D = boundary(net).matrix.astype(np.float64)
-    g_br = np.zeros((n_br, 1))
-    g_br[res_idx_a] = res_g_a
-    g_br[cap_idx_a] = cap_g_a
-    g_br[ind_idx_a] = ind_g_a
     max_resid = 0.0
     scale = float(np.max(np.abs(I_rec[:, 0])))
-    g_u = float(np.max(g_br[:, 0] * np.abs(branch_u)))
+    g_u = float(np.max(g * np.abs(branch_u)))
 
     for lo in range(1, steps + 1, _BLOCK):
         hi = min(lo + _BLOCK, steps + 1)
@@ -393,11 +390,11 @@ def transient(net: Network, cfg: SimConfig,
         z_new = zs[1:].T
         V_rec[:, lo:hi] = x_pad[:n_v]
         I = I_rec[:, lo:hi]
-        I[res_idx_a] = u[res_idx_a] * res_g_a
-        I[cap_idx_a] = z_new[cap_i_rows]
-        I[ind_idx_a] = z_new[ind_i_rows]
-        I[isrc_idx_a] = s[:n_i]
-        I[vsrc_idx_a] = x_pad[n_v:n_x]
+        I[res_idx] = u[res_idx] * res_g
+        I[cap_idx] = z_new[cap_i_rows]
+        I[ind_idx] = z_new[ind_i_rows]
+        I[isrc_idx] = s[:n_i]
+        I[vsrc_idx] = x_pad[n_v:n_x]
 
         max_resid = max(max_resid, float(np.max(np.abs(D @ I))))
         scale = max(scale, float(np.max(np.abs(I))))
@@ -430,52 +427,29 @@ def dc_operating_point(net: Network, t: float = 0.0) -> InitialCondition:
     condition, including the source currents for the t = 0 record.
     """
     _checked_network(net)
-    row = {label: k for k, label in
-           enumerate(n for n in net.nodes if n != net.reference)}
-    row[net.reference] = -1
+
+    def static(el: Element) -> float | None:
+        if isinstance(el, Resistor):
+            return 1.0 / el.ohms
+        if isinstance(el, Capacitor):
+            return GMIN
+        return None if isinstance(el, (Inductor, VoltageSource)) else 0.0
+
+    row, Gp, a_rows, b_rows, _ = _assemble(net, static)
     n_v = len(net.nodes) - 1
+    n_x = len(Gp) - 1
     cur_ids = [br.id for br in net.branches
                if isinstance(br.element, (VoltageSource, Inductor))]
     col = {bid: n_v + j for j, bid in enumerate(cur_ids)}
-    n_x = n_v + len(cur_ids)
-    pad = n_x
-
-    Gp = np.zeros((n_x + 1, n_x + 1))
     rhs = np.zeros(n_x + 1)
-
-    def conduct(a: int, b: int, g: float) -> None:
-        ia = a if a >= 0 else pad
-        ib = b if b >= 0 else pad
-        Gp[ia, ia] += g
-        Gp[ib, ib] += g
-        Gp[ia, ib] -= g
-        Gp[ib, ia] -= g
-
-    for br in net.branches:
-        a = row[br.start]
-        b = row[br.end]
-        ia = a if a >= 0 else pad
-        ib = b if b >= 0 else pad
+    for br, ia, ib in zip(net.branches, a_rows, b_rows):
         el = br.element
-        if isinstance(el, Resistor):
-            conduct(a, b, 1.0 / el.ohms)
-        elif isinstance(el, Capacitor):
-            conduct(a, b, GMIN)
-        elif isinstance(el, (Inductor, VoltageSource)):
-            j = col[br.id]
-            Gp[ia, j] += 1.0
-            Gp[ib, j] -= 1.0
-            Gp[j, ia] += 1.0
-            Gp[j, ib] -= 1.0
-            if isinstance(el, VoltageSource):
-                rhs[j] = el.value_at(t)
+        if isinstance(el, VoltageSource):
+            rhs[col[br.id]] = el.value_at(t)
         elif isinstance(el, CurrentSource):
             val = el.value_at(t)
             rhs[ia] -= val
             rhs[ib] += val
-        else:
-            raise SimulationError(
-                f"branch {br.id!r}: unsupported element {type(el).__name__}")
 
     x = _solve(Gp[:n_x, :n_x], rhs[:n_x], "operating point is singular")
     if not np.all(np.isfinite(x)):

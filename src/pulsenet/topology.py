@@ -11,23 +11,21 @@ matrix is the node-by-branch incidence matrix with entries in
 * the kernel (the cycle space) has dimension B - N + C for B branches,
   N nodes and C connected components, with an integer basis.
 
-All kernel computations here are exact over the rationals.  Incidence
-matrices are totally unimodular, so fraction-free integer elimination
-keeps every intermediate entry small and fast; Fractions only appear
-during back-substitution and are cleared from the returned basis.
+The basis comes from a spanning forest grown in branch order (Paton
+1969, CACM 12(9)): each branch outside the forest closes one
+fundamental cycle, with coefficients in {-1, 0, +1}.  The forest's
+branches are the pivot columns of the incidence matrix's row-echelon
+form, so this is the basis exact elimination gives, vector for vector.
 """
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
-from fractions import Fraction
-from typing import Any, Iterable, Mapping, Sequence
+from typing import Any, Callable, Iterable, Mapping, Sequence
 
 import numpy as np
 
 from .errors import TopologyError
-from .waveform import Waveform
 
 
 @dataclass(frozen=True)
@@ -165,8 +163,12 @@ def boundary(net: Network) -> BoundaryMatrix:
     return BoundaryMatrix(net.nodes, net.branch_ids, mat)
 
 
-def connected_components(net: Network) -> list[frozenset[str]]:
-    """Connected components of the underlying undirected graph."""
+def _spanning_forest(net: Network) -> tuple[list[int], Callable[[str], str]]:
+    """Spanning forest grown by one union-find pass in branch order.
+
+    Returns the indices of the forest's branches (each joins two trees
+    grown so far) and the ``find`` that maps a node to its tree's root.
+    """
     parent = {label: label for label in net.nodes}
 
     def find(x: str) -> str:
@@ -175,95 +177,77 @@ def connected_components(net: Network) -> list[frozenset[str]]:
             x = parent[x]
         return x
 
-    for br in net.branches:
+    forest = []
+    for k, br in enumerate(net.branches):
         ra, rb = find(br.start), find(br.end)
         if ra != rb:
             parent[ra] = rb
+            forest.append(k)
+    return forest, find
+
+
+def connected_components(net: Network) -> list[frozenset[str]]:
+    """Connected components of the underlying undirected graph."""
+    _, find = _spanning_forest(net)
     groups: dict[str, set[str]] = {}
     for label in net.nodes:
         groups.setdefault(find(label), set()).add(label)
     return [frozenset(g) for g in groups.values()]
 
 
-def _integer_kernel(mat: np.ndarray) -> list[list[int]]:
-    """Exact integer basis of the kernel of an integer matrix.
-
-    Forward pass is fraction-free (Bareiss) elimination: every division
-    is exact, so rows stay integer; for totally unimodular inputs such
-    as incidence matrices the pivots are +-1 and entries never grow.
-    Back-substitution runs over Fractions and each kernel vector is then
-    scaled to a primitive integer vector.
-    """
-    rows = [list(map(int, r)) for r in mat]
-    n_rows = len(rows)
-    n_cols = int(mat.shape[1])
-
-    pivot_cols: list[int] = []
-    pivot_rows: list[int] = []
-    r = 0
-    prev = 1
-    for c in range(n_cols):
-        pr = next((i for i in range(r, n_rows) if rows[i][c] != 0), None)
-        if pr is None:
-            continue
-        rows[r], rows[pr] = rows[pr], rows[r]
-        piv = rows[r][c]
-        rr = rows[r]
-        for i in range(r + 1, n_rows):
-            ri = rows[i]
-            head = ri[c]
-            if head == 0:
-                if piv != prev:
-                    # Sylvester identity still scales the row by piv/prev
-                    # (exact); with equal pivots it is a no-op.
-                    for j in range(c, n_cols):
-                        if ri[j]:
-                            ri[j] = piv * ri[j] // prev
-                continue
-            for j in range(c, n_cols):
-                ri[j] = (piv * ri[j] - head * rr[j]) // prev
-        pivot_cols.append(c)
-        pivot_rows.append(r)
-        prev = piv
-        r += 1
-        if r == n_rows:
-            break
-
-    pivot_set = set(pivot_cols)
-    free_cols = [c for c in range(n_cols) if c not in pivot_set]
-    basis: list[list[int]] = []
-    for fc in free_cols:
-        vec: list[Fraction] = [Fraction(0)] * n_cols
-        vec[fc] = Fraction(1)
-        for k in range(len(pivot_cols) - 1, -1, -1):
-            pc = pivot_cols[k]
-            row = rows[pivot_rows[k]]
-            acc = Fraction(0)
-            for c in range(pc + 1, n_cols):
-                if row[c] and vec[c]:
-                    acc += row[c] * vec[c]
-            vec[pc] = -acc / row[pc]
-        scale = math.lcm(*(f.denominator for f in vec)) if vec else 1
-        ints = [int(f * scale) for f in vec]
-        g = math.gcd(*ints)
-        if g > 1:
-            ints = [v // g for v in ints]
-        lead = next(v for v in ints if v != 0)
-        if lead < 0:
-            ints = [-v for v in ints]
-        basis.append(ints)
-    return basis
-
-
 def cycle_space(net: Network) -> CycleBasis:
     """Exact integer basis of the cycle space (kernel of the boundary map).
 
-    The returned dimension always equals
+    One vector per branch outside the spanning forest, in branch order:
+    that branch plus the forest path from its end back to its start,
+    signed so that the first non-zero entry is positive.  The returned
+    dimension always equals
     ``len(net.branches) - len(net.nodes) + len(connected_components(net))``.
     """
-    bnd = boundary(net)
-    vectors = _integer_kernel(bnd.matrix)
-    return CycleBasis(net.branch_ids, tuple(tuple(v) for v in vectors))
+    forest, _ = _spanning_forest(net)
+    # Root each tree; up[n] = (parent node, branch, coefficient of that
+    # branch when walked from n to its parent).
+    adjacent: dict[str, list[tuple[str, int, int]]] = {n: [] for n in net.nodes}
+    for k in forest:
+        br = net.branches[k]
+        adjacent[br.start].append((br.end, k, -1))
+        adjacent[br.end].append((br.start, k, 1))
+    up: dict[str, tuple[str, int, int]] = {}
+    depth: dict[str, int] = {}
+    for root in net.nodes:
+        if root in depth:
+            continue
+        depth[root] = 0
+        stack = [root]
+        while stack:
+            n = stack.pop()
+            for m, k, coef in adjacent[n]:
+                if m not in depth:
+                    depth[m] = depth[n] + 1
+                    up[m] = (n, k, coef)
+                    stack.append(m)
+
+    in_forest = set(forest)
+    vectors = []
+    for f, br in enumerate(net.branches):
+        if f in in_forest:
+            continue
+        vec = [0] * len(net.branches)
+        vec[f] = 1
+        # Climb from both ends to where the two paths meet: a's steps
+        # run along the cycle, b's against it.
+        a, b = br.end, br.start
+        while a != b:
+            if depth[a] >= depth[b]:
+                a, k, coef = up[a]
+                vec[k] = coef
+            else:
+                b, k, coef = up[b]
+                vec[k] = -coef
+        if next(v for v in vec if v) < 0:
+            vec = [-v for v in vec]
+        vectors.append(tuple(vec))
+    return CycleBasis(net.branch_ids, tuple(vectors))
 
 
 def cycle_rank(net: Network) -> int:
@@ -310,17 +294,3 @@ def in_cycle_space(net: Network,
                    currents: Mapping[str, Any] | Sequence[Any]) -> bool:
     """True iff the branch-current vector satisfies KCL at every node."""
     return all(v == 0 for v in kcl_residual(net, currents).values())
-
-
-def node_balance_output(static_current: float, perturbation: Waveform) -> Waveform:
-    """Total current leaving a three-branch junction fed by a constant
-    source and a time-varying source.
-
-    With a constant ``static_current`` entering on one branch and
-    ``perturbation`` entering on another, KCL makes the output branch
-    carry their sum sample by sample.  The returned waveform shares the
-    perturbation's grid.
-    """
-    return Waveform(perturbation.t0, perturbation.dt,
-                    perturbation.samples + float(static_current),
-                    perturbation.unit or "A")

@@ -131,14 +131,13 @@ def test_sweep_points_equal_single_runs():
 
 
 def test_sweep_leaves_the_warning_filters_as_found(recwarn):
-    # At these amplitudes the trapezoid's flat top reaches its maximum
-    # sample in two separate places, so fwhm warns inside the sweep.
-    # That rests on the last bits of the run, hence the first check on
-    # the recorded warnings.
+    # Two pulses 2.5 ns apart reach the same maximum, so fwhm warns
+    # inside the sweep; the first check on the recorded warnings makes
+    # sure it did.
     cfg = SimConfig(t_end=6e-9, dt=2e-12)
     before = list(warnings.filters)
-    runs = sweep_runs(pulse_spec(), circuit(), "amplitude",
-                      [10.6e-3, 10.7e-3], cfg)
+    runs = sweep_runs(pulse_spec(rate=1 / 2.5e-9, delay=1e-9), circuit(),
+                      "amplitude", [10.6e-3, 10.7e-3], cfg)
     assert warnings.filters == before
     assert any("separate places" in str(w.message) for w in recwarn)
     recwarn.clear()

@@ -8,7 +8,7 @@ import pytest
 from pulsenet import (LaserCircuit, LaserPhysics, ModelError, VoltageSource,
                       circuit_from_physics, cycle_space,
                       differential_resistance, equivalent_network,
-                      physics_from_circuit, recalibrated)
+                      physics_from_circuit)
 
 # Calibration point: fixed junction conditions plus the operating point
 # recovered by exact inversion of the published element values.
@@ -186,13 +186,3 @@ def test_equivalent_network_shape():
     assert internal == {"LD_n1", "LD_n2", "LD_n3"}
     assert cycle_space(net).dim == 1  # series chain against the parallel C
     assert circ.series_resistance == pytest.approx(2.552, abs=2e-3)
-
-
-def test_recalibrated_changes_only_the_bias_point():
-    phys = cal_physics()
-    moved = recalibrated(phys, bias_current=31e-3)
-    assert moved.bias_current == 31e-3
-    assert moved.temperature == phys.temperature
-    assert moved.tau_photon == phys.tau_photon
-    hot = recalibrated(phys, temperature=330.0)
-    assert hot.temperature == 330.0 and hot.bias_current == phys.bias_current

@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 
 from pulsenet import (MetricsError, Waveform, baseline_subtract, delay_at_level,
-                      fwhm, normalize_align, zero_outside_window)
+                      fwhm, normalize_align)
 from conftest import gaussian_wave, triangle_wave
 
 FWHM_PER_SIGMA = 2.3548200450309493  # 2*sqrt(2 ln 2)
@@ -274,24 +274,3 @@ def test_normalize_align_on_mismatched_grids():
     a, b = normalize_align(first, second)
     assert a.dt == first.dt and b.dt == first.dt
     assert float(np.max(np.abs(a.samples - b.samples))) <= 1e-4
-
-
-def test_zero_outside_window():
-    sigma = 100e-12
-    dt = 5e-12
-    wave = gaussian_wave(sigma, dt, center=1e-9, half_span=1e-9)
-    out = zero_outside_window(wave, 300e-12)
-    t = out.times()
-    # Same center arithmetic as the implementation (grid time of the
-    # maximum), so the masks complement each other exactly.
-    outside = np.abs(t - t[int(np.argmax(wave.samples))]) > 300e-12
-    assert not np.any(out.samples[outside])
-    assert np.array_equal(out.samples[~outside], wave.samples[~outside])
-    explicit = zero_outside_window(wave, 300e-12, center=1e-9)
-    outside2 = np.abs(t - 1e-9) > 300e-12
-    assert not np.any(explicit.samples[outside2])
-    assert np.array_equal(explicit.samples[~outside2], wave.samples[~outside2])
-    with pytest.raises(MetricsError, match="half_width"):
-        zero_outside_window(wave, 0.0)
-    with pytest.raises(MetricsError, match="keeps no samples"):
-        zero_outside_window(wave, 1e-15, center=55e-9)

@@ -5,9 +5,9 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
-from pulsenet import (Branch, Network, TopologyError, Waveform, boundary,
+from pulsenet import (Branch, Network, TopologyError, boundary,
                       connected_components, cycle_rank, cycle_space,
-                      in_cycle_space, kcl_residual, node_balance_output)
+                      in_cycle_space, kcl_residual)
 from conftest import random_network
 
 
@@ -118,6 +118,24 @@ def test_cycle_basis_spans_the_sympy_nullspace():
         assert stacked.rank() == len(null)
 
 
+def test_cycle_basis_is_the_sign_normalised_sympy_nullspace():
+    # sympy's nullspace sets one free column of the reduced row-echelon
+    # form to 1 per vector; the spanning forest must give that basis
+    # exactly, vector for vector, once each lead entry is made positive.
+    sympy = pytest.importorskip("sympy")
+    for seed in (7, 42, 3):
+        rng = np.random.default_rng(seed)
+        for _ in range(100):
+            net = random_network(rng)
+            null = []
+            for v in sympy.Matrix(boundary(net).matrix.tolist()).nullspace():
+                vec = list(v)
+                if next(x for x in vec if x != 0) < 0:
+                    vec = [-x for x in vec]
+                null.append(tuple(vec))
+            assert cycle_space(net).vectors == tuple(null)
+
+
 def test_basis_vectors_are_primitive_with_positive_lead():
     rng = np.random.default_rng(3)
     from math import gcd
@@ -166,11 +184,3 @@ def test_network_validation():
         Network.from_branches([Branch("e", "a", "b")], reference="zz")
     with pytest.raises(TopologyError, match="non-empty"):
         Branch("", "a", "b")
-
-
-def test_node_balance_output_adds_the_static_current():
-    pert = Waveform(0.0, 1e-12, np.array([0.0, 1e-3, 2e-3, 0.0]), "A")
-    total = node_balance_output(31e-3, pert)
-    assert np.array_equal(total.samples, pert.samples + 31e-3)
-    assert total.unit == "A"
-    assert total.t0 == pert.t0 and total.dt == pert.dt

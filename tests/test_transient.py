@@ -200,6 +200,27 @@ def test_waveform_source_off_grid_is_interpolated():
     assert np.max(np.abs(v1 - v2)) <= 1e-12 * np.max(np.abs(v1))
 
 
+def test_waveform_source_must_span_the_run():
+    from pulsenet import Waveform
+    dt = 1e-9
+    cfg = SimConfig(t_end=100e-9, dt=dt)
+
+    def run(t0, t_end):
+        wave = Waveform(t0, (t_end - t0) / 50, np.linspace(0.0, 1e-3, 51), "A")
+        net = Network.from_branches([
+            Branch("I1", "0", "a", CurrentSource(wave)),
+            Branch("R", "a", "0", Resistor(50.0)),
+        ], reference="0")
+        return transient(net, cfg)
+
+    # within half a step at either end: accepted
+    assert run(0.4 * dt, 100e-9 - 0.4 * dt).config is cfg
+    with pytest.raises(SimulationError, match="branch 'I1'.*short of the run"):
+        run(0.0, 98e-9)
+    with pytest.raises(SimulationError, match="branch 'I1'.*short of the run"):
+        run(0.6 * dt, 100e-9)
+
+
 def test_diagnostics_name_the_problem():
     cfg = SimConfig(t_end=1e-9, dt=1e-10)
     no_ref = Network.from_branches([
@@ -272,3 +293,13 @@ def test_sim_config_validation():
     with pytest.raises(SimulationError, match="solver_tol"):
         SimConfig(t_end=1e-9, dt=1e-10, solver_tol=0.0)
     assert SimConfig(t_end=1e-9, dt=1e-10).steps == 10
+
+
+def test_t_end_must_be_a_whole_number_of_steps():
+    with pytest.raises(SimulationError, match="1.05 steps.*whole number of steps"):
+        SimConfig(t_end=1.05e-9, dt=1e-9)
+    with pytest.raises(SimulationError, match="whole number of steps"):
+        SimConfig(t_end=6e-9 + 0.5e-12, dt=1e-12)
+    # rounding of t_end / dt stays far inside the 1e-6 step tolerance
+    tau = 1.0 / 3.0e9
+    assert SimConfig(t_end=5.2 * tau, dt=tau / 1000).steps == 5200
