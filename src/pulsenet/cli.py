@@ -40,8 +40,7 @@ def _print_kv(rows: list[tuple[str, str]]) -> None:
 def _cmd_laser_params(args) -> int:
     if args.invert:
         cfg = cfgmod.load_config(args.config, cfgmod.LASER_CIRCUIT_KEYS)
-        circ = laser.LaserCircuit(R=cfg["R"], L=cfg["L"], C=cfg["C"],
-                                  R_spon=cfg["R_spon"], R_o=cfg["R_o"])
+        circ = cfgmod.laser_circuit_from(cfg, source=str(args.config))
         phys = laser.physics_from_circuit(
             circ, temperature=cfg["T"], bias_current=cfg["I_d"],
             n_e=cfg["n_e"], n_sat=cfg["n_sat"],
@@ -120,17 +119,18 @@ def _probe_wave(result: simulate.SimResult, probe: str) -> Waveform:
     return result.branch_currents[name]
 
 
-def _run_from_config(path):
-    cfg = cfgmod.load_config(path, cfgmod.SIMULATE_KEYS)
+def _run_from_config(path, schema):
+    cfg = cfgmod.load_config(path, schema)
     spec = cfgmod.stimulus_spec_from(cfg)
     circ = cfgmod.laser_circuit_from(cfg, source=str(path))
     sim_cfg = cfgmod.sim_config_from(cfg)
     net_kwargs = cfgmod.driver_kwargs_from(cfg, source=str(path))
-    return spec, circ, sim_cfg, net_kwargs
+    return cfg, spec, circ, sim_cfg, net_kwargs
 
 
 def _cmd_simulate(args) -> int:
-    spec, circ, sim_cfg, net_kwargs = _run_from_config(args.config)
+    _, spec, circ, sim_cfg, net_kwargs = _run_from_config(args.config,
+                                                          cfgmod.SIMULATE_KEYS)
     net = driver.driver_network(spec, circ, t_end=sim_cfg.t_end,
                                 dt=sim_cfg.dt, **net_kwargs)
     if args.emit_netlist:
@@ -177,11 +177,8 @@ def _cmd_simulate(args) -> int:
 # --- sweep -------------------------------------------------------------------
 
 def _cmd_sweep(args) -> int:
-    cfg = cfgmod.load_config(args.config, cfgmod.SWEEP_KEYS)
-    spec = cfgmod.stimulus_spec_from(cfg)
-    circ = cfgmod.laser_circuit_from(cfg, source=str(args.config))
-    sim_cfg = cfgmod.sim_config_from(cfg)
-    net_kwargs = cfgmod.driver_kwargs_from(cfg, source=str(args.config))
+    cfg, spec, circ, sim_cfg, net_kwargs = _run_from_config(args.config,
+                                                            cfgmod.SWEEP_KEYS)
     param = cfg["sweep_param"]
     values = cfgmod.sweep_values_from(cfg, source=str(args.config))
 
@@ -295,9 +292,11 @@ def _cmd_kstest(args) -> int:
     if args.emit_cdf:
         cdf_a = kstest.ecdf(sa)
         cdf_b = kstest.ecdf(sb)
-        xs = sorted(set(float(x) + 0.0 for x in np.concatenate([sa, sb])))
+        # + 0.0 turns a -0.0 into 0.0, which prints as 0
+        xs = np.unique(np.concatenate([sa, sb])) + 0.0
         lines = ["x,F_a,F_b"]
-        lines += [f"{x:.17g},{cdf_a(x):.17g},{cdf_b(x):.17g}" for x in xs]
+        lines += [f"{x:.17g},{fa:.17g},{fb:.17g}" for x, fa, fb in
+                  zip(xs.tolist(), cdf_a(xs).tolist(), cdf_b(xs).tolist())]
         Path(args.emit_cdf).write_text("\n".join(lines) + "\n",
                                        encoding="ascii")
         print(f"wrote {args.emit_cdf}")

@@ -15,7 +15,10 @@ from decimal import Decimal, InvalidOperation
 from pathlib import Path
 from typing import Any, Mapping
 
+from .driver import PULSE_SHAPES, BiasTee, OutputFilter, StimulusSpec
 from .errors import ConfigError
+from .laser import LaserCircuit, LaserPhysics, circuit_from_physics
+from .simulate import METHODS, SWEEP_PARAMS, SimConfig
 
 SI_PREFIXES = {
     "f": -15, "p": -12, "n": -9, "u": -6, "µ": -6,
@@ -184,15 +187,13 @@ _STIMULUS_KEYS: dict[str, Key] = {
     "delay": Key("s", default=0.0),
     "edge": Key("s", default=100e-12),
     "rate": Key("Hz", default=100e3),
-    "shape": Key("enum", default="trapezoid",
-                 choices=("trapezoid", "gaussian", "raised-cosine")),
+    "shape": Key("enum", default="trapezoid", choices=PULSE_SHAPES),
 }
 
 _SIM_KEYS: dict[str, Key] = {
     "t_end": Key("s", required=True),
     "dt": Key("s", required=True),
-    "method": Key("enum", default="trapezoidal",
-                  choices=("trapezoidal", "backward-euler")),
+    "method": Key("enum", default="trapezoidal", choices=METHODS),
     "solver_tol": Key("", default=1e-9),
 }
 
@@ -225,8 +226,7 @@ SIMULATE_KEYS: dict[str, Key] = {
 
 SWEEP_KEYS: dict[str, Key] = {
     **SIMULATE_KEYS,
-    "sweep_param": Key("enum", required=True,
-                       choices=("amplitude", "width", "delay")),
+    "sweep_param": Key("enum", required=True, choices=SWEEP_PARAMS),
     "sweep_values": Key("str", required=True),
 }
 
@@ -234,16 +234,12 @@ SWEEP_KEYS: dict[str, Key] = {
 # --- builders: parsed dict -> domain objects --------------------------------
 
 def stimulus_spec_from(cfg: Mapping[str, Any]):
-    from .driver import StimulusSpec
-
     return StimulusSpec(bias=cfg["bias"], amplitude=cfg["amplitude"],
                         width=cfg["width"], delay=cfg["delay"],
                         edge=cfg["edge"], rate=cfg["rate"], shape=cfg["shape"])
 
 
 def laser_physics_from(cfg: Mapping[str, Any]):
-    from .laser import LaserPhysics
-
     return LaserPhysics(temperature=cfg.get("T", 300.0),
                         bias_current=cfg["I_d"],
                         n_photon=cfg["n_photon"],
@@ -258,8 +254,6 @@ def laser_physics_from(cfg: Mapping[str, Any]):
 
 def laser_circuit_from(cfg: Mapping[str, Any], source: str = "<config>"):
     """Laser element values from either config route (circuit or physics)."""
-    from .laser import LaserCircuit, circuit_from_physics
-
     has_circuit = "R" in cfg
     has_physics = "n_photon" in cfg
     if has_circuit and has_physics:
@@ -284,15 +278,11 @@ def laser_circuit_from(cfg: Mapping[str, Any], source: str = "<config>"):
 
 
 def sim_config_from(cfg: Mapping[str, Any]):
-    from .simulate import SimConfig
-
     return SimConfig(t_end=cfg["t_end"], dt=cfg["dt"],
                      method=cfg["method"], solver_tol=cfg["solver_tol"])
 
 
 def driver_kwargs_from(cfg: Mapping[str, Any], source: str = "<config>") -> dict:
-    from .driver import BiasTee, OutputFilter
-
     kwargs: dict[str, Any] = {
         "bias_tee": cfg["bias_tee"],
         "tee": BiasTee(coupling_farads=cfg["tee_coupling"],

@@ -100,7 +100,3 @@ def _source_value(value: SourceValue, t) -> float:
     if isinstance(value, Waveform):
         return value.value_at(t)
     return float(value)
-
-
-def is_source(element: object) -> bool:
-    return isinstance(element, (CurrentSource, VoltageSource))

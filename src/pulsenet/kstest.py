@@ -1,10 +1,10 @@
 """Two-sample Kolmogorov-Smirnov indistinguishability test.
 
-The statistic D = sup |F_a - F_b| is computed exactly: a single merged
-pass over both sorted samples tracks the integer numerator
-|i*n - j*m| (i, j counts consumed so far), so D is a ratio of integers
-with no accumulated float error.  The p-value uses the asymptotic
-Kolmogorov distribution
+The statistic D = sup |F_a - F_b| is computed exactly: at every pooled
+value, ``searchsorted`` on the two sorted samples counts the i and j
+values at or below it, and D is the largest integer numerator
+|i*n - j*m| over m*n, a ratio of integers with no accumulated float
+error.  The p-value uses the asymptotic Kolmogorov distribution
 
     Q(lambda) = 2 * sum_{k>=1} (-1)^(k-1) exp(-2 k^2 lambda^2)
 
@@ -15,7 +15,6 @@ distribution exactly when p > alpha.
 
 from __future__ import annotations
 
-import bisect
 import math
 from dataclasses import dataclass
 
@@ -26,31 +25,37 @@ from .metrics import fwhm, normalize_align
 from .waveform import Waveform
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class EmpiricalCdf:
-    """Right-continuous empirical distribution function."""
+    """Right-continuous empirical distribution function over a sorted,
+    read-only sample array."""
 
-    sorted_values: tuple[float, ...]
+    sorted_values: np.ndarray
     n: int
 
-    def __call__(self, x: float) -> float:
-        """F(x) = (number of sample values <= x) / n."""
-        return bisect.bisect_right(self.sorted_values, x) / self.n
+    def __call__(self, x):
+        """F(x) = (number of sample values <= x) / n: a float for a
+        scalar ``x``, an array for an array of points."""
+        counts = np.searchsorted(self.sorted_values, x, side="right")
+        if np.ndim(counts):
+            return counts / self.n
+        return int(counts) / self.n
 
 
-def _clean_samples(values, name: str) -> list[float]:
-    vals = [float(v) for v in np.asarray(values, dtype=np.float64).ravel()]
-    if not vals:
+def _sorted_samples(values, name: str) -> np.ndarray:
+    vals = np.sort(np.asarray(values, dtype=np.float64).ravel())
+    if not vals.size:
         raise StatsError(f"{name} sample is empty")
-    if not all(math.isfinite(v) for v in vals):
+    if not np.isfinite(vals).all():
         raise StatsError(f"{name} sample contains non-finite values")
+    vals.flags.writeable = False
     return vals
 
 
 def ecdf(samples) -> EmpiricalCdf:
     """Empirical CDF of a non-empty finite sample (ties allowed)."""
-    vals = _clean_samples(samples, "the")
-    return EmpiricalCdf(tuple(sorted(vals)), len(vals))
+    vals = _sorted_samples(samples, "the")
+    return EmpiricalCdf(vals, vals.size)
 
 
 def kolmogorov_q(lam: float) -> float:
@@ -99,22 +104,16 @@ def ks_two_sample(a, b, alpha: float = 0.05) -> KsResult:
     """
     if not 0 < alpha < 1:
         raise StatsError(f"alpha must be in (0, 1), got {alpha}")
-    xs = sorted(_clean_samples(a, "first"))
-    ys = sorted(_clean_samples(b, "second"))
-    m, n = len(xs), len(ys)
-
-    i = j = 0
-    d_num = 0  # max |i*n - j*m| over pooled values, exact in integers
-    while i < m and j < n:
-        v = xs[i] if xs[i] <= ys[j] else ys[j]
-        while i < m and xs[i] == v:
-            i += 1
-        while j < n and ys[j] == v:
-            j += 1
-        gap = abs(i * n - j * m)
-        if gap > d_num:
-            d_num = gap
-    d_stat = d_num / (m * n)
+    xs = _sorted_samples(a, "first")
+    ys = _sorted_samples(b, "second")
+    m, n = xs.size, ys.size
+    pooled = np.concatenate([xs, ys])
+    # side="right" counts a tied value in full before the gap is taken;
+    # i*n and j*m stay below m*n, exact in int64 for any sample that fits
+    # in memory
+    i = np.searchsorted(xs, pooled, side="right")
+    j = np.searchsorted(ys, pooled, side="right")
+    d_stat = int(np.max(np.abs(i * n - j * m))) / (m * n)
 
     effective_n = m * n / (m + n)
     lam = d_stat * math.sqrt(effective_n)

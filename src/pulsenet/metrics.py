@@ -65,6 +65,11 @@ def fwhm(wave: Waveform, baseline: float = 0.0) -> PulseMetrics:
             stacklevel=2)
     i_pk = int(np.argmax(s))
     half = baseline + 0.5 * (peak - baseline)
+    if float(np.min(s)) > half:
+        raise MetricsError(
+            f"no half-maximum crossing before the peak or after it: every "
+            f"sample lies above the half level {half:g}; remove the DC "
+            "level (subtract a baseline) first")
 
     lo = i_pk
     while lo > 0 and s[lo - 1] > half:

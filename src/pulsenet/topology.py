@@ -102,12 +102,6 @@ class Network:
     def branch_ids(self) -> tuple[str, ...]:
         return tuple(br.id for br in self.branches)
 
-    def node_index(self, label: str) -> int:
-        try:
-            return self.nodes.index(label)
-        except ValueError:
-            raise TopologyError(f"unknown node {label!r}") from None
-
     def branch(self, branch_id: str) -> Branch:
         for br in self.branches:
             if br.id == branch_id:

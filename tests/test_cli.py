@@ -250,6 +250,20 @@ def test_kstest_distinct_shapes_still_exit_zero(tmp_path, capsys):
     assert float(rows["p_value"]) < 0.05
 
 
+def test_biased_pulse_names_the_baseline(tmp_path, capsys):
+    # A pulse still riding on its bias never falls to half its peak;
+    # the error says so instead of blaming a clipped record.
+    wave = gaussian_wave(150e-12, 5e-12, center=3e-9, half_span=2e-9,
+                         amplitude=7.5e-3, unit="A")
+    path = tmp_path / "biased.csv"
+    write_waveform_csv(path, wave.with_samples(wave.samples + 31e-3))
+
+    assert cli.main(["metrics", str(path)]) == 1
+    assert "baseline" in capsys.readouterr().err
+    assert cli.main(["kstest", str(path), str(path)]) == 1
+    assert "baseline" in capsys.readouterr().err
+
+
 def test_domain_errors_exit_one(tmp_path, capsys):
     assert cli.main(["simulate", "--config", str(CONFIGS / "missing.cfg"),
                      "--out", str(tmp_path / "x.csv")]) == 1

@@ -4,6 +4,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from pulsenet import (LaserCircuit, SimConfig, StatsError, StimulusSpec,
                       Waveform, baseline_subtract, detector_filter, ecdf,
@@ -23,7 +25,7 @@ def q_long(lam, terms=2000):
 
 def test_ecdf_step_values():
     F = ecdf([3.0, 1.0, 2.0])
-    assert F.sorted_values == (1.0, 2.0, 3.0)
+    assert F.sorted_values.tolist() == [1.0, 2.0, 3.0]
     assert F.n == 3
     assert F(0.5) == 0.0
     assert F(2.0) == 2 / 3
@@ -145,6 +147,35 @@ def test_merged_pass_matches_brute_force():
                       - int(np.count_nonzero(b <= x)) * m)
                   for x in pooled)
         assert res.d_stat == num / (m * n)
+
+
+# Small integer ranges plus both signed zeros: ties within and across
+# the samples, and -0.0 == 0.0 counted as one value.
+_tied = st.lists(st.sampled_from([-2.0, -1.0, -0.0, 0.0, 1.0, 2.0, 3.0]),
+                 min_size=1, max_size=40)
+
+
+@settings(max_examples=300, deadline=None)
+@given(a=_tied, b=_tied)
+def test_exact_d_and_ecdf_on_tied_samples(a, b):
+    a, b = np.array(a), np.array(b)
+    m, n = a.size, b.size
+    pooled = np.concatenate([a, b])
+    num = max(abs(int(np.count_nonzero(a <= x)) * n
+                  - int(np.count_nonzero(b <= x)) * m)
+              for x in pooled)
+    d_stat = ks_two_sample(a, b).d_stat
+    assert d_stat == num / (m * n)
+    assert ks_two_sample(b, a).d_stat == d_stat
+
+    F = ecdf(a)
+    xs = np.unique(pooled)
+    at_once = F(xs)
+    assert isinstance(at_once, np.ndarray)
+    one_by_one = [F(float(x)) for x in xs]
+    assert all(type(v) is float for v in one_by_one)
+    assert at_once.tolist() == one_by_one
+    assert one_by_one == [np.count_nonzero(a <= x) / m for x in xs]
 
 
 def test_against_scipy_oracle():

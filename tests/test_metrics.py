@@ -83,6 +83,10 @@ def test_clipped_pulses_are_rejected():
     rising = Waveform(0.0, dt, np.linspace(0.6, 1.0, 50), "A")
     with pytest.raises(MetricsError, match="before the peak"):
         fwhm(rising)
+    decaying = Waveform(0.0, dt, np.concatenate([np.linspace(0.6, 1.0, 50),
+                                                 np.linspace(0.9, 0.0, 10)]), "A")
+    with pytest.raises(MetricsError, match="clipped at the start"):
+        fwhm(decaying)
     falling = Waveform(0.0, dt, np.concatenate([np.linspace(0.0, 1.0, 50),
                                                 np.full(10, 0.9)]), "A")
     with pytest.raises(MetricsError, match="after the peak"):
