@@ -17,7 +17,7 @@ from pathlib import Path
 import numpy as np
 
 from . import config as cfgmod
-from . import driver, kstest, laser, metrics, netlist, simulate, svgplot, topology
+from . import kstest, laser, metrics, netlist, simulate, svgplot, topology
 from .errors import ConfigError, PulsenetError
 from .waveform import Waveform, read_waveform_csv, write_waveform_csv
 
@@ -131,13 +131,10 @@ def _run_from_config(path, schema):
 def _cmd_simulate(args) -> int:
     _, spec, circ, sim_cfg, net_kwargs = _run_from_config(args.config,
                                                           cfgmod.SIMULATE_KEYS)
-    net = driver.driver_network(spec, circ, t_end=sim_cfg.t_end,
-                                dt=sim_cfg.dt, **net_kwargs)
+    result = simulate.run_driver(spec, circ, sim_cfg, **net_kwargs)
     if args.emit_netlist:
-        netlist.write_netlist(net, args.emit_netlist)
+        netlist.write_netlist(result.network, args.emit_netlist)
         print(f"wrote {args.emit_netlist}")
-    init = simulate.dc_operating_point(net)
-    result = simulate.transient(net, sim_cfg, init)
     sense = simulate.sense_current(result)
     if args.detector_rise:
         rise = _qty(args.detector_rise, "s", "--detector-rise")

@@ -12,23 +12,25 @@ branch current, all oriented start to end):
 
 The system matrix G is constant for a fixed dt, so the whole step is
 linear in the state z = (capacitor u and i, inductor u and i) and the
-source values s_n.  ``transient`` compiles it once, by applying the
-one-step assembly and update to unit vectors, into
+source values s_n.  ``compile_step`` compiles it once, by applying the
+one-step assembly and update to unit vectors, into a ``CompiledStep``
+holding the read-only maps of
 
     z_n = M z_{n-1} + N s_n        G x_n = Rz z_{n-1} + Rs s_n
 
 so each step of the recurrence costs one small matrix-vector product.
-Everything full-length is computed in fixed-size blocks of steps and
-written straight into the record: the source drive N s, the unknowns x
-(one LU solve of G for the whole block, by ``numpy.linalg.solve``),
-the branch currents, and the current-law audit, which pushes each
-block's branch currents through the full incidence matrix.  If any
-node's residual over the run exceeds ``solver_tol`` times the current
-scale, the run is rejected rather than silently returned.  The record
-is frozen at the end, so its waveforms share it instead of copying it.
-The module needs numpy only.
+``transient`` compiles, builds the state at t = 0 and writes the
+record: the t = 0 column first, then the steps in fixed-size blocks.
+Each block computes the source drive N s, the unknowns x (one LU solve
+of G for the whole block, by ``numpy.linalg.solve``), the branch
+currents, and the current-law audit, which pushes each block's branch
+currents through the full incidence matrix.  If any node's residual
+over the run exceeds ``solver_tol`` times the current scale, the run is
+rejected rather than silently returned.  The record is frozen at the
+end, so its waveforms share it instead of copying it.  The module needs
+numpy only.
 
-``transient`` and ``dc_operating_point`` stamp G with one assembler,
+``compile_step`` and ``dc_operating_point`` stamp G with one assembler,
 ``_assemble``; they differ only in the conductance each element gets
 (at DC, inductors join the voltage sources as current unknowns).
 
@@ -50,6 +52,7 @@ from .elements import (Capacitor, CurrentSource, Element, Inductor, Resistor,
                        VoltageSource)
 from .errors import SimulationError
 from .laser import LaserCircuit
+from .metrics import fwhm
 from .topology import Branch, Network, boundary, connected_components
 from .waveform import Waveform
 
@@ -62,6 +65,12 @@ GMIN = 1e-12
 #: Steps per block: sources, unknowns, branch currents and the
 #: current-law audit are computed this many time points at a time.
 _BLOCK = 4096
+
+#: Element kinds, in the order of ``CompiledStep.index``.
+_KINDS = (Resistor, Capacitor, Inductor, CurrentSource, VoltageSource)
+
+_SINGULAR = ("singular system matrix; check for voltage-source loops "
+             "or current-source cutsets")
 
 
 @dataclass(frozen=True)
@@ -80,6 +89,9 @@ class SimConfig:
             raise SimulationError(
                 f"t_end = {self.t_end!r} s must cover at least one step of {self.dt!r} s")
         steps = self.t_end / self.dt
+        if not math.isfinite(steps):
+            raise SimulationError(
+                f"t_end = {self.t_end!r} s is too many steps of {self.dt!r} s to count")
         if abs(steps - round(steps)) > 1e-6:
             raise SimulationError(
                 f"t_end = {self.t_end!r} s is {steps:.9g} steps of {self.dt!r} s; "
@@ -230,60 +242,67 @@ def _source_samples(br: Branch, times: np.ndarray) -> np.ndarray:
     return np.broadcast_to(float(value), times.shape)
 
 
-def transient(net: Network, cfg: SimConfig,
-              initial: InitialCondition | None = None) -> SimResult:
-    """Run the fixed-step transient analysis.
+@dataclass(frozen=True, eq=False)
+class CompiledStep:
+    """One step of a network's transient, compiled for a fixed dt and method.
 
-    ``initial`` defaults to the all-zero state.  Use
-    :func:`dc_operating_point` first to start from steady state.
+    The state z holds the capacitor voltages, the capacitor currents,
+    the inductor voltages and the inductor currents, each in branch
+    order; the sources s the current sources, then the voltage sources,
+    in branch order.  A step is
+
+        z_n = M z_{n-1} + N s_n        G x_n = Rz z_{n-1} + Rs s_n
+
+    where x holds the node voltages (at ``row[node]``) and then the
+    voltage-source currents.  ``a_rows`` and ``b_rows`` are each
+    branch's start and end rows in x padded with one zero for the
+    reference, ``g`` each branch's conductance in G (0.0 for a source)
+    and ``index[kind]`` the branches of each element kind, in the order
+    resistor, capacitor, inductor, current source, voltage source.
+    The arrays are read-only.
+    """
+
+    row: Mapping[str, int]
+    G: np.ndarray
+    Rz: np.ndarray
+    Rs: np.ndarray
+    M: np.ndarray
+    N: np.ndarray
+    g: np.ndarray
+    a_rows: np.ndarray
+    b_rows: np.ndarray
+    index: Mapping[type, np.ndarray]
+
+
+def compile_step(net: Network, cfg: SimConfig) -> CompiledStep:
+    """Compile the step of ``net`` on the grid and method of ``cfg``.
+
+    The step is linear in (z, s), so its response to unit vectors gives
+    the maps of :class:`CompiledStep`.
     """
     _checked_network(net)
-    initial = initial or InitialCondition()
-    unknown_nodes = set(initial.node_voltages) - set(net.nodes)
-    if unknown_nodes:
-        raise SimulationError(f"initial voltages name unknown nodes {sorted(unknown_nodes)}")
-    unknown_brs = set(initial.branch_currents) - set(net.branch_ids)
-    if unknown_brs:
-        raise SimulationError(f"initial currents name unknown branches {sorted(unknown_brs)}")
-
-    steps = cfg.steps
-    dt = cfg.dt
     trap = cfg.method == "trapezoidal"
-    times = dt * np.arange(steps + 1)
 
     def companion(el: Element) -> float | None:
         if isinstance(el, Resistor):
             return 1.0 / el.ohms
         if isinstance(el, Capacitor):
-            return (2.0 * el.farads / dt) if trap else (el.farads / dt)
+            return (2.0 * el.farads / cfg.dt) if trap else (el.farads / cfg.dt)
         if isinstance(el, Inductor):
-            return (dt / (2.0 * el.henries)) if trap else (dt / el.henries)
+            return (cfg.dt / (2.0 * el.henries)) if trap else (cfg.dt / el.henries)
         return None if isinstance(el, VoltageSource) else 0.0
 
     row, Gp, a_rows, b_rows, g = _assemble(net, companion)
     n_v = len(net.nodes) - 1
     n_x = len(Gp) - 1
-    g_br = g[:, None]
-
-    def of_kind(kind: type) -> np.ndarray:
-        return np.array([k for k, br in enumerate(net.branches)
-                         if isinstance(br.element, kind)], dtype=np.intp)
-
-    res_idx, cap_idx, ind_idx, isrc_idx, vsrc_idx = map(
-        of_kind, (Resistor, Capacitor, Inductor, CurrentSource, VoltageSource))
-    res_g, cap_g, ind_g = g_br[res_idx], g_br[cap_idx], g_br[ind_idx]
-    isrc_vals = [_source_samples(net.branches[k], times) for k in isrc_idx]
-    sources = isrc_vals + [_source_samples(net.branches[k], times)
-                           for k in vsrc_idx]
-
-    G = Gp[:n_x, :n_x]
-    singular = ("singular system matrix; check for voltage-source loops "
-                "or current-source cutsets")
+    index = {kind: np.array([k for k, br in enumerate(net.branches)
+                             if isinstance(br.element, kind)], dtype=np.intp)
+             for kind in _KINDS}
+    _, cap_idx, ind_idx, isrc_idx, vsrc_idx = index.values()
+    cap_g, ind_g = g[cap_idx, None], g[ind_idx, None]
     n_c, n_l, n_i = len(cap_idx), len(ind_idx), len(isrc_idx)
     n_z = 2 * (n_c + n_l)
-    # State layout: cap_u, cap_i, ind_u, ind_i.
-    cap_i_rows = slice(n_c, 2 * n_c)
-    ind_i_rows = slice(2 * n_c + n_l, n_z)
+    G = Gp[:n_x, :n_x]
 
     def assemble(z: np.ndarray, s: np.ndarray) -> np.ndarray:
         """Right-hand side for columns of state z and sources s."""
@@ -313,90 +332,105 @@ def transient(net: Network, cfg: SimConfig,
         new_ind_i = ind_i + ind_g * ((new_ind_u + ind_u) if trap else new_ind_u)
         return np.vstack([new_cap_u, new_cap_i, new_ind_u, new_ind_i])
 
-    # The step is linear in (z, s).  Its response to unit vectors gives
-    # rhs_n = Rz z_{n-1} + Rs s_n and the recurrence z_n = M z_{n-1} + N s_n.
-    # The unknowns are solved from the assembled right-hand side, block
-    # by block, rather than through a composed map from (z, s): terms
-    # that cancel at a node (a bias current against its choke's current)
-    # then cancel before the solve scales them by 1/g of a small
-    # companion conductance, not after.
-    unit = np.eye(n_z + len(sources))
+    unit = np.eye(n_z + n_i + len(vsrc_idx))
     r_unit = assemble(unit[:n_z], unit[n_z:])
-    z_unit = advance(unit[:n_z], _solve(G, r_unit, singular))
-    Rz, Rs = r_unit[:, :n_z], r_unit[:, n_z:]
-    Mt = np.ascontiguousarray(z_unit[:, :n_z].T)
-    N = z_unit[:, n_z:]
+    z_unit = advance(unit[:n_z], _solve(G, r_unit, _SINGULAR))
+    for array in (G, r_unit, z_unit, g, a_rows, b_rows, *index.values()):
+        array.setflags(write=False)   # and so every slice taken below
+    return CompiledStep(row, G, r_unit[:, :n_z], r_unit[:, n_z:], z_unit[:, :n_z],
+                        z_unit[:, n_z:], g, a_rows, b_rows, index)
 
-    # Initial state.
-    v0_pad = np.zeros(n_x + 1)
+
+def transient(net: Network, cfg: SimConfig,
+              initial: InitialCondition | None = None) -> SimResult:
+    """Run the fixed-step transient analysis.
+
+    ``initial`` defaults to the all-zero state.  Use
+    :func:`dc_operating_point` first to start from steady state.
+    """
+    step = compile_step(net, cfg)
+    initial = initial or InitialCondition()
+    unknown_nodes = set(initial.node_voltages) - set(net.nodes)
+    if unknown_nodes:
+        raise SimulationError(f"initial voltages name unknown nodes {sorted(unknown_nodes)}")
+    unknown_brs = set(initial.branch_currents) - set(net.branch_ids)
+    if unknown_brs:
+        raise SimulationError(f"initial currents name unknown branches {sorted(unknown_brs)}")
+
+    steps = cfg.steps
+    times = cfg.dt * np.arange(steps + 1)
+    res_idx, cap_idx, ind_idx, isrc_idx, vsrc_idx = step.index.values()
+    sources = [_source_samples(net.branches[k], times)
+               for k in (*isrc_idx, *vsrc_idx)]
+    a_rows, b_rows, g_br = step.a_rows, step.b_rows, step.g[:, None]
+    n_v, n_x, n_z = len(net.nodes) - 1, len(step.G), len(step.M)
+    n_c, n_i = len(cap_idx), len(isrc_idx)
+    # State layout: cap_u, cap_i, ind_u, ind_i.
+    cap_i_rows = slice(n_c, 2 * n_c)
+    ind_i_rows = slice(n_z - len(ind_idx), n_z)
+    Mt = np.ascontiguousarray(step.M.T)
+
+    # Initial state: the padded unknowns x and the state z at t = 0.
+    x0 = np.zeros(n_x + 1)
     for label, volt in initial.node_voltages.items():
-        r = row[label]
+        r = step.row[label]
         if r >= 0:
-            v0_pad[r] = float(volt)
+            x0[r] = float(volt)
         elif volt:
             raise SimulationError("reference node voltage must be 0")
-    init_i = {bid: float(val) for bid, val in initial.branch_currents.items()}
+    i0 = np.array([float(initial.branch_currents.get(br.id, 0.0))
+                   for br in net.branches])
+    x0[n_v:n_x] = i0[vsrc_idx]
+    u0 = x0[a_rows] - x0[b_rows]
+    z = np.concatenate([u0[cap_idx], i0[cap_idx], u0[ind_idx], i0[ind_idx]])
 
-    branch_u = v0_pad[a_rows] - v0_pad[b_rows]
-    z = np.concatenate([
-        branch_u[cap_idx],
-        [init_i.get(net.branches[k].id, 0.0) for k in cap_idx],
-        branch_u[ind_idx],
-        [init_i.get(net.branches[k].id, 0.0) for k in ind_idx]])
-
-    n_br = len(net.branches)
-    I_rec = np.zeros((n_br, steps + 1))
+    I_rec = np.zeros((len(net.branches), steps + 1))
     V_rec = np.zeros((n_v, steps + 1))
-    V_rec[:, 0] = v0_pad[:n_v]
 
-    # t = 0 column from the supplied state.
-    I_rec[res_idx, 0] = branch_u[res_idx] * res_g[:, 0]
-    I_rec[cap_idx, 0] = z[cap_i_rows]
-    I_rec[ind_idx, 0] = z[ind_i_rows]
-    I_rec[isrc_idx, 0] = [src[0] for src in isrc_vals]
-    I_rec[vsrc_idx, 0] = [init_i.get(net.branches[k].id, 0.0) for k in vsrc_idx]
-
-    # Current-law audit, accumulated block by block.  t = 0 is supplied
-    # state, not a solution, so its residual is not judged; it counts
-    # towards the scales.  Reactive branch currents come from cancelling
-    # companion terms of magnitude g*|u|, so roundoff in the residual
-    # floats on those intermediates, not on the (possibly tiny) net
-    # currents.
+    # Record the t = 0 column from the supplied state, then the steps in
+    # blocks.  The current-law audit does not judge t = 0, which is
+    # supplied state and not a solution, but counts it towards the
+    # scales.  Reactive branch currents come from cancelling companion
+    # terms of magnitude g*|u|, so roundoff in the residual floats on
+    # those intermediates, not on the (possibly tiny) net currents.
     D = boundary(net).matrix.astype(np.float64)
-    max_resid = 0.0
-    scale = float(np.max(np.abs(I_rec[:, 0])))
-    g_u = float(np.max(g * np.abs(branch_u)))
-
-    for lo in range(1, steps + 1, _BLOCK):
-        hi = min(lo + _BLOCK, steps + 1)
+    max_resid = scale = g_u = 0.0
+    for lo in (0, *range(1, steps + 1, _BLOCK)):
+        hi = min(lo + _BLOCK, steps + 1) if lo else 1
         s = np.vstack([src[lo:hi] for src in sources])
-        # The recurrence itself, one row of zs per step (zs[0] = z_{lo-1}).
-        zs = np.empty((hi - lo + 1, n_z))
-        zs[0] = z
-        zs[1:] = (N @ s).T
-        if n_z:
+        if lo:
+            # The recurrence itself, one row of zs per step (zs[0] = z_{lo-1}).
+            zs = np.empty((hi - lo + 1, n_z))
+            zs[0] = z
+            zs[1:] = (step.N @ s).T
             rows = list(zs)
             buf = np.empty(n_z)
-            prev = rows[0]
-            for cur in rows[1:]:
+            for prev, cur in zip(rows, rows[1:]):
                 np.dot(prev, Mt, out=buf)
                 cur += buf
-                prev = cur
-        z = zs[-1].copy()
-
-        x_pad = np.zeros((n_x + 1, hi - lo))
-        x_pad[:n_x] = _solve(G, Rz @ zs[:-1].T + Rs @ s, singular)
+            z = zs[-1].copy()
+            # The unknowns are solved from the assembled right-hand side,
+            # not through a composed map from (z, s): terms that cancel at
+            # a node (a bias current against its choke's current) then
+            # cancel before the solve scales them by 1/g of a small
+            # companion conductance, not after.
+            x_pad = np.zeros((n_x + 1, hi - lo))
+            x_pad[:n_x] = _solve(step.G, step.Rz @ zs[:-1].T + step.Rs @ s,
+                                 _SINGULAR)
+            z_new = zs[1:].T
+        else:
+            x_pad, z_new = x0[:, None], z[:, None]
         u = x_pad[a_rows] - x_pad[b_rows]
-        z_new = zs[1:].T
         V_rec[:, lo:hi] = x_pad[:n_v]
         I = I_rec[:, lo:hi]
-        I[res_idx] = u[res_idx] * res_g
+        I[res_idx] = u[res_idx] * g_br[res_idx]
         I[cap_idx] = z_new[cap_i_rows]
         I[ind_idx] = z_new[ind_i_rows]
         I[isrc_idx] = s[:n_i]
         I[vsrc_idx] = x_pad[n_v:n_x]
 
-        max_resid = max(max_resid, float(np.max(np.abs(D @ I))))
+        if lo:
+            max_resid = max(max_resid, float(np.max(np.abs(D @ I))))
         scale = max(scale, float(np.max(np.abs(I))))
         g_u = max(g_u, float(np.max(g_br * np.abs(u))))
 
@@ -410,15 +444,15 @@ def transient(net: Network, cfg: SimConfig,
     I_rec.setflags(write=False)
     V_rec.setflags(write=False)
     node_waves = {}
-    for label, r in row.items():
+    for label, r in step.row.items():
         samples = V_rec[r] if r >= 0 else np.zeros(steps + 1)
-        node_waves[label] = Waveform(0.0, dt, samples, "V")
-    branch_waves = {br.id: Waveform(0.0, dt, I_rec[k], "A")
+        node_waves[label] = Waveform(0.0, cfg.dt, samples, "V")
+    branch_waves = {br.id: Waveform(0.0, cfg.dt, I_rec[k], "A")
                     for k, br in enumerate(net.branches)}
     return SimResult(net, cfg, node_waves, branch_waves, max_resid, scale)
 
 
-def dc_operating_point(net: Network, t: float = 0.0) -> InitialCondition:
+def dc_operating_point(net: Network) -> InitialCondition:
     """Steady state with sources held at their t = 0 values.
 
     Inductors become zero-volt sources (their DC current is an
@@ -438,16 +472,21 @@ def dc_operating_point(net: Network, t: float = 0.0) -> InitialCondition:
     row, Gp, a_rows, b_rows, _ = _assemble(net, static)
     n_v = len(net.nodes) - 1
     n_x = len(Gp) - 1
-    cur_ids = [br.id for br in net.branches
-               if isinstance(br.element, (VoltageSource, Inductor))]
-    col = {bid: n_v + j for j, bid in enumerate(cur_ids)}
+    cur_ids = [br.id for br in net.branches if static(br.element) is None]
     rhs = np.zeros(n_x + 1)
     for br, ia, ib in zip(net.branches, a_rows, b_rows):
         el = br.element
+        if isinstance(el, (CurrentSource, VoltageSource)):
+            value = el.amps if isinstance(el, CurrentSource) else el.volts
+            if isinstance(value, Waveform) and not (
+                    value.t0 <= 0.5 * value.dt and value.t_end >= -0.5 * value.dt):
+                raise SimulationError(
+                    f"branch {br.id!r}: waveform source spans [{value.t0:g}, "
+                    f"{value.t_end:g}] s, which misses the operating point at t = 0")
         if isinstance(el, VoltageSource):
-            rhs[col[br.id]] = el.value_at(t)
+            rhs[n_v + cur_ids.index(br.id)] = el.value_at(0.0)
         elif isinstance(el, CurrentSource):
-            val = el.value_at(t)
+            val = el.value_at(0.0)
             rhs[ia] -= val
             rhs[ib] += val
 
@@ -456,7 +495,7 @@ def dc_operating_point(net: Network, t: float = 0.0) -> InitialCondition:
         raise SimulationError("operating point is singular")
 
     volts = {label: (float(x[r]) if r >= 0 else 0.0) for label, r in row.items()}
-    currents = {bid: float(x[col[bid]]) for bid in cur_ids}
+    currents = dict(zip(cur_ids, x[n_v:n_x].tolist()))
     return InitialCondition(node_voltages=volts, branch_currents=currents)
 
 
@@ -494,8 +533,6 @@ class SweepPoint:
 
 def _sweep_point(spec: StimulusSpec, circ: LaserCircuit, cfg: SimConfig,
                  value: float, **net_kwargs) -> tuple[SweepPoint, Waveform]:
-    from .metrics import fwhm  # local import avoids a cycle
-
     result = run_driver(spec, circ, cfg, **net_kwargs)
     sense = sense_current(result)
     rest = sense.with_samples(sense.samples - spec.bias)
@@ -523,14 +560,6 @@ def sweep_runs(spec: StimulusSpec, circ: LaserCircuit, param: str,
         raise SimulationError("sweep needs at least one value")
     return [_sweep_point(replace(spec, **{param: v}), circ, cfg, v, **net_kwargs)
             for v in values]
-
-
-def sweep(spec: StimulusSpec, circ: LaserCircuit, param: str,
-          values: Sequence[float], cfg: SimConfig,
-          **net_kwargs) -> list[SweepPoint]:
-    """Like :func:`sweep_runs` but summaries only."""
-    return [point for point, _ in
-            sweep_runs(spec, circ, param, values, cfg, **net_kwargs)]
 
 
 def detector_filter(wave: Waveform, rise_time: float) -> Waveform:

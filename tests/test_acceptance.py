@@ -18,7 +18,7 @@ from pulsenet import (Branch, Capacitor, CurrentSource, InitialCondition,
                       connected_components, cycle_space, delay_at_level,
                       detector_filter, fwhm, kcl_residual, kolmogorov_q,
                       ks_two_sample, physics_from_circuit, run_driver,
-                      sense_current, sweep, transient,
+                      sense_current, sweep_runs, transient,
                       waveform_samples_for_cdf)
 from pulsenet import cli
 from pulsenet.waveform import read_waveform_csv, write_waveform_csv
@@ -156,12 +156,13 @@ def test_criterion_4_driver_pulse_reproduction():
     assert m.fwhm == pytest.approx(600e-12, rel=0.10)
 
     cfg12 = SimConfig(t_end=12e-9, dt=2e-12)
-    delay_pts = sweep(drive_spec(delay=1e-9), circ, "delay",
-                      [1e-9, 9e-9], cfg12)
+    delay_pts = [p for p, _ in sweep_runs(drive_spec(delay=1e-9), circ,
+                                          "delay", [1e-9, 9e-9], cfg12)]
     assert delay_pts[1].t_peak - delay_pts[0].t_peak == pytest.approx(
         8e-9, abs=cfg12.dt)
 
-    amp_pts = sweep(drive_spec(), circ, "amplitude", [10.5e-3, 8.2e-3], cfg)
+    amp_pts = [p for p, _ in sweep_runs(drive_spec(), circ, "amplitude",
+                                        [10.5e-3, 8.2e-3], cfg)]
     assert amp_pts[0].peak == pytest.approx(41.5e-3, rel=0.02)
     assert amp_pts[1].peak == pytest.approx(39.2e-3, rel=0.02)
     print("criterion 4 (41.5 mA / 600 ps pulse and sweeps): PASS")

@@ -176,16 +176,21 @@ def test_baseline_removed_is_the_level_subtracted(tmp_path, capsys):
     assert kv(capsys.readouterr().out)["baseline removed"] == f"{removed:.9g}"
 
 
-@pytest.mark.parametrize("module", ["pulsenet", "pulsenet.cli"])
-def test_import_loads_no_scipy(module):
+def package_env():
+    """Environment for a fresh interpreter that imports this pulsenet."""
     src = str(Path(pulsenet.__file__).resolve().parent.parent)
     env = dict(os.environ)
     env["PYTHONPATH"] = os.pathsep.join(
         p for p in (src, env.get("PYTHONPATH")) if p)
+    return env
+
+
+@pytest.mark.parametrize("module", ["pulsenet", "pulsenet.cli"])
+def test_import_loads_no_scipy(module):
     code = (f"import sys, {module}; "
             "print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))")
-    out = subprocess.run([sys.executable, "-c", code], env=env, check=True,
-                         capture_output=True, text=True).stdout
+    out = subprocess.run([sys.executable, "-c", code], env=package_env(),
+                         check=True, capture_output=True, text=True).stdout
     assert out.strip() == "[]"
 
 
@@ -281,6 +286,24 @@ def test_domain_errors_exit_one(tmp_path, capsys):
     assert cli.main(["kstest", str(tmp_path / "nope.csv"),
                      str(tmp_path / "nope.csv")]) == 1
     capsys.readouterr()
+
+
+def test_uncountable_step_count_is_an_error_not_a_traceback(tmp_path):
+    # t_end / dt overflows to infinity; SimConfig rejects it before any
+    # step is counted.
+    text = (CONFIGS / "pulse600.cfg").read_text(encoding="ascii")
+    cfg = tmp_path / "huge.cfg"
+    cfg.write_text(text.replace("t_end = 6ns", "t_end = 1e300s"),
+                   encoding="ascii")
+    assert "1e300s" in cfg.read_text(encoding="ascii")
+    proc = subprocess.run(
+        [sys.executable, "-m", "pulsenet.cli", "simulate", "--config",
+         str(cfg), "--out", str(tmp_path / "x.csv")],
+        env=package_env(), capture_output=True, text=True)
+    assert proc.returncode == 1
+    assert proc.stderr.startswith("error:")
+    assert "too many steps" in proc.stderr
+    assert "Traceback" not in proc.stderr
 
 
 def test_usage_errors_exit_two(tmp_path, capsys):

@@ -13,7 +13,7 @@ from scipy.linalg import lu_factor, lu_solve
 from pulsenet import (Branch, Capacitor, CurrentSource, InitialCondition,
                       Inductor, LaserCircuit, Network, OutputFilter, Resistor,
                       SimConfig, SimulationError, StimulusSpec,
-                      VoltageSource, Waveform, boundary,
+                      VoltageSource, Waveform, boundary, compile_step,
                       dc_operating_point, driver_network, transient)
 
 TABLE = dict(R=2.555, L=6.184e-12, C=0.3557e-9, R_spon=2.811e-3, R_o=-5.511e-3)
@@ -294,3 +294,92 @@ def test_current_law_audit_rejects_a_residual_above_its_tolerance():
                          output_filter=OutputFilter(50.0, 1e-12))
     with pytest.raises(SimulationError, match="current-law residual"):
         transient(net, cfg, dc_operating_point(net))
+
+
+def state_labels(net, step):
+    """Names of the state components: u and i of each capacitor, then of
+    each inductor."""
+    caps = [net.branches[k].id for k in step.index[Capacitor]]
+    inds = [net.branches[k].id for k in step.index[Inductor]]
+    return ([f"u:{b}" for b in caps] + [f"i:{b}" for b in caps]
+            + [f"u:{b}" for b in inds] + [f"i:{b}" for b in inds])
+
+
+def test_compiled_maps_are_read_only_and_describe_the_run():
+    # The maps of the public object reproduce the recorded run: the
+    # state recurrence and the solve of the unknowns, step for step.
+    net, cfg, initial = rlc_networks()["lrc-from-zero"]
+    step = compile_step(net, cfg)
+    for name in ("G", "Rz", "Rs", "M", "N"):
+        with pytest.raises(ValueError):
+            getattr(step, name)[0, 0] = 1.0
+    for array in (step.g, step.a_rows, step.b_rows, *step.index.values()):
+        assert not array.flags.writeable
+    res = transient(net, cfg, initial)
+    v, i = res.node_voltages, res.branch_currents
+
+    def record(label):
+        kind, bid = label.split(":")
+        br = net.branch(bid)
+        return (v[br.start].samples - v[br.end].samples if kind == "u"
+                else i[bid].samples)
+
+    z = np.array([record(label) for label in state_labels(net, step)])
+    s = np.full((1, cfg.steps + 1), 5.0)   # the one source, VS
+    nodes = sorted((r, n) for n, r in step.row.items() if r >= 0)
+    x = np.array([v[n].samples for _, n in nodes] + [i["VS"].samples])
+    assert step.row[net.reference] == -1 and len(x) == len(step.G)
+    z_scale = np.max(np.abs(z))
+    assert np.max(np.abs(z[:, 1:] - step.M @ z[:, :-1] - step.N @ s[:, 1:])) \
+        <= 1e-12 * z_scale
+    rhs = step.Rz @ z[:, :-1] + step.Rs @ s[:, 1:]
+    assert np.max(np.abs(step.G @ x[:, 1:] - rhs)) <= 1e-12 * np.max(np.abs(rhs))
+
+
+@pytest.mark.parametrize("method", METHODS)
+def test_step_matrix_carries_the_mapped_laser_poles(method):
+    # Bilinear oracle.  Without the tee the only dynamics are the laser
+    # fragment's series arm (L, R + R_spon + R_o) across C, with poles
+    # at the roots of L C p^2 + R_series C p + 1.  The integration rule
+    # maps each pole p to (1 + p dt/2)/(1 - p dt/2) (trapezoidal) or
+    # 1/(1 - p dt) (backward Euler); those are the nonzero eigenvalues
+    # of M.  The other half of the state is redundant (eigenvalue 0).
+    circ = LaserCircuit(**TABLE)
+    cfg = SimConfig(t_end=6e-9, dt=1e-12, method=method)
+    net = driver_network(spec(), circ, t_end=6e-9, dt=1e-12, bias_tee=False)
+    eig = np.linalg.eigvals(compile_step(net, cfg).M)
+    p = np.roots([circ.L * circ.C, circ.series_resistance * circ.C, 1.0])
+    h = cfg.dt
+    mapped = ((1 + p * h / 2) / (1 - p * h / 2) if method == "trapezoidal"
+              else 1 / (1 - p * h))
+    nonzero = eig[np.abs(eig) > 1e-9]
+    assert len(nonzero) == 2
+    err = np.abs(np.sort_complex(nonzero) - np.sort_complex(mapped))
+    assert np.max(err) <= 1e-12
+
+
+@pytest.mark.parametrize("method", METHODS)
+def test_tee_modes_on_the_unit_circle(method):
+    # The tee puts a capacitor (CTEE) and a choke (LTEE) each in series
+    # with an ideal current source.  CTEE's voltage integrates the
+    # injected charge and never decays: eigenvalue +1 under both rules.
+    # The trapezoidal rule also leaves LTEE's voltage undamped: it flips
+    # sign every step, eigenvalue -1.  These are distinct eigenvalues,
+    # not a Jordan block, and each eigenvector is that one voltage.
+    cfg = SimConfig(t_end=6e-9, dt=1e-12, method=method)
+    net = driver_network(spec(), LaserCircuit(**TABLE), t_end=6e-9, dt=1e-12)
+    step = compile_step(net, cfg)
+    labels = state_labels(net, step)
+    w, vecs = np.linalg.eig(step.M)
+    on_circle = np.flatnonzero(np.abs(np.abs(w) - 1.0) <= 1e-12)
+    modes = {}
+    for k in on_circle:
+        assert abs(w[k].imag) <= 1e-12
+        unit = np.zeros(len(w))
+        unit[np.argmax(np.abs(vecs[:, k]))] = 1.0
+        assert np.max(np.abs(np.abs(vecs[:, k]) - unit)) <= 1e-12
+        modes[round(w[k].real)] = labels[np.argmax(unit)]
+    expected = {1: "u:CTEE", -1: "u:LTEE"} if method == "trapezoidal" \
+        else {1: "u:CTEE"}
+    assert modes == expected
+    assert np.max(np.abs(np.delete(w, on_circle))) < 1.0

@@ -12,7 +12,7 @@ from pulsenet import (Branch, Capacitor, CurrentSource, InitialCondition,
                       SimConfig, SimulationError, StimulusSpec, SweepPoint,
                       boundary, dc_operating_point, detector_filter,
                       driver_network, fwhm, run_driver, sense_current,
-                      stimulus, sweep, sweep_runs, transient)
+                      stimulus, sweep_runs, transient)
 
 TABLE = dict(R=2.555, L=6.184e-12, C=0.3557e-9, R_spon=2.811e-3, R_o=-5.511e-3)
 BIAS = 31e-3
@@ -57,6 +57,21 @@ def test_ideal_source_injection_identity():
     assert err <= cfg.solver_tol * res.current_scale
 
 
+def test_sense_current_measures_the_source_not_the_laser():
+    # Each side of the bias tee is in series with an ideal current
+    # source, so by the current law the sense branch carries bias +
+    # stimulus whatever the laser does: the sense pulse measures the
+    # source.  The laser's series arm sees a smaller, slower pulse.
+    cfg = SimConfig(t_end=6e-9, dt=1e-12)
+    res = run_driver(pulse_spec(), circuit(), cfg)
+    stim = stimulus(pulse_spec(), t_end=cfg.steps * cfg.dt, dt=cfg.dt)
+    err = np.max(np.abs(sense_current(res).samples - (BIAS + stim.samples)))
+    assert err <= 1e-12 * BIAS
+    arm = fwhm(res.branch_currents["LD_L"], baseline=BIAS)
+    assert arm.peak - BIAS < 0.5 * pulse_spec().amplitude
+    assert arm.fwhm > 1.5 * pulse_spec().width
+
+
 def test_nodal_residuals_sum_to_zero():
     # Boundary columns sum to zero, so the nodal imbalances must cancel
     # across the network far below the individual residual level.
@@ -72,8 +87,8 @@ def test_nodal_residuals_sum_to_zero():
 
 def test_delay_sweep_shifts_the_peak_linearly():
     cfg = SimConfig(t_end=12e-9, dt=2e-12)
-    points = sweep(pulse_spec(delay=1e-9), circuit(), "delay",
-                   [1e-9, 9e-9], cfg)
+    points = [p for p, _ in sweep_runs(pulse_spec(delay=1e-9), circuit(),
+                                       "delay", [1e-9, 9e-9], cfg)]
     dt = cfg.dt
     shift = points[1].t_peak - points[0].t_peak
     assert shift == pytest.approx(8e-9, abs=dt)
@@ -85,8 +100,8 @@ def test_delay_sweep_shifts_the_peak_linearly():
 
 def test_amplitude_sweep_hits_both_tuned_peaks():
     cfg = SimConfig(t_end=6e-9, dt=1e-12)
-    points = sweep(pulse_spec(), circuit(), "amplitude",
-                   [10.5e-3, 8.2e-3], cfg)
+    points = [p for p, _ in sweep_runs(pulse_spec(), circuit(), "amplitude",
+                                       [10.5e-3, 8.2e-3], cfg)]
     assert points[0].peak == pytest.approx(41.5e-3, rel=0.02)
     assert points[1].peak == pytest.approx(39.2e-3, rel=0.02)
     assert points[0].value == 10.5e-3
@@ -94,7 +109,8 @@ def test_amplitude_sweep_hits_both_tuned_peaks():
 
 def test_width_sweep_tracks_the_request():
     cfg = SimConfig(t_end=6e-9, dt=1e-12)
-    points = sweep(pulse_spec(), circuit(), "width", [400e-12, 600e-12], cfg)
+    points = [p for p, _ in sweep_runs(pulse_spec(), circuit(), "width",
+                                       [400e-12, 600e-12], cfg)]
     assert points[0].fwhm == pytest.approx(400e-12, rel=0.10)
     assert points[1].fwhm == pytest.approx(600e-12, rel=0.10)
 
@@ -150,9 +166,9 @@ def test_sweep_leaves_the_warning_filters_as_found(recwarn):
 def test_sweep_argument_validation():
     cfg = SimConfig(t_end=6e-9, dt=1e-12)
     with pytest.raises(SimulationError, match="unknown sweep parameter"):
-        sweep(pulse_spec(), circuit(), "edge", [1e-12], cfg)
+        sweep_runs(pulse_spec(), circuit(), "edge", [1e-12], cfg)
     with pytest.raises(SimulationError, match="at least one value"):
-        sweep(pulse_spec(), circuit(), "delay", [], cfg)
+        sweep_runs(pulse_spec(), circuit(), "delay", [], cfg)
 
 
 def test_grid_refinement_leaves_the_width_in_place():

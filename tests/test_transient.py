@@ -164,6 +164,28 @@ def test_operating_point_with_current_source():
     assert op.node_voltages["a"] == pytest.approx(0.5, rel=1e-12)
 
 
+def test_operating_point_reads_waveform_sources_at_zero():
+    from pulsenet import Waveform
+    dt = 1e-9
+
+    def op(t0):
+        wave = Waveform(t0, dt, np.linspace(2e-3, 4e-3, 11), "A")
+        net = Network.from_branches([
+            Branch("I1", "0", "a", CurrentSource(wave)),
+            Branch("R", "a", "0", Resistor(250.0)),
+        ], reference="0")
+        return dc_operating_point(net).node_voltages["a"]
+
+    assert op(0.0) == pytest.approx(0.5, rel=1e-12)
+    # within half a sample step of t = 0: accepted
+    assert op(0.4 * dt) == pytest.approx(0.5, rel=1e-12)
+    assert op(-10.4 * dt) == pytest.approx(1.0, rel=1e-12)
+    # a source that starts after t = 0 or ends before it is rejected
+    for t0 in (0.6 * dt, -10.6 * dt, -20 * dt):
+        with pytest.raises(SimulationError, match="branch 'I1'.*misses .*t = 0"):
+            op(t0)
+
+
 def test_starting_from_the_operating_point_stays_flat():
     net = Network.from_branches([
         Branch("VS", "a", "0", VoltageSource(5.0)),
@@ -300,6 +322,10 @@ def test_t_end_must_be_a_whole_number_of_steps():
         SimConfig(t_end=1.05e-9, dt=1e-9)
     with pytest.raises(SimulationError, match="whole number of steps"):
         SimConfig(t_end=6e-9 + 0.5e-12, dt=1e-12)
+    # t_end / dt overflows to infinity: no step count to round
+    for t_end in (1e300, math.inf):
+        with pytest.raises(SimulationError, match="too many steps"):
+            SimConfig(t_end=t_end, dt=1e-12)
     # rounding of t_end / dt stays far inside the 1e-6 step tolerance
     tau = 1.0 / 3.0e9
     assert SimConfig(t_end=5.2 * tau, dt=tau / 1000).steps == 5200
