@@ -167,10 +167,17 @@ def stimulus(spec: StimulusSpec, t_end: float, dt: float,
     out = np.zeros(n)
     first = math.floor((t[0] - spec.pulse_center(0)) * spec.rate) - 1
     last = math.ceil((t[-1] - spec.pulse_center(0)) * spec.rate) + 1
-    for k in range(first, last + 1):
-        if k < 0:
-            continue
-        out += _shape_values(spec, t - spec.pulse_center(k))
+    for k in range(max(first, 0), last + 1):
+        center = spec.pulse_center(k)
+        if spec.shape == "gaussian":   # nonzero everywhere
+            lo, hi = 0, n
+        else:
+            # Zero outside its extent: evaluate on that index range, one
+            # sample wider on each side than the rounding needs.
+            lo = max(math.floor((center - 0.5 * spec.extent - t0) / dt) - 1, 0)
+            hi = min(math.ceil((center + 0.5 * spec.extent - t0) / dt) + 2, n)
+        if lo < hi:
+            out[lo:hi] += _shape_values(spec, t[lo:hi] - center)
     return Waveform(t[0], dt, spec.amplitude * out, "A")
 
 

@@ -18,10 +18,15 @@ holding the read-only maps of
 
     z_n = M z_{n-1} + N s_n        G x_n = Rz z_{n-1} + Rs s_n
 
-so each step of the recurrence costs one small matrix-vector product.
 ``transient`` compiles, builds the state at t = 0 and writes the
 record: the t = 0 column first, then the steps in fixed-size blocks.
-Each block computes the source drive N s, the unknowns x (one LU solve
+Each block advances the state by a chunked scan (Blelloch 1990; Martin
+and Cundy 2018, arXiv:1709.04057): over chunks of K = ``_CHUNK`` steps, one
+matrix product with the block-Toeplitz map of M^0 ... M^(K-1) gives
+every chunk's response from a zero start, a short loop carries the
+state from chunk end to chunk end by M^K, and a second product with
+M^1 ... M^K adds each chunk's start state.  The powers are built once
+per run.  Each block then computes the unknowns x (one LU solve
 of G for the whole block, by ``numpy.linalg.solve``), the branch
 currents, and the current-law audit, which pushes each block's branch
 currents through the full incidence matrix.  If any node's residual
@@ -65,6 +70,9 @@ GMIN = 1e-12
 #: Steps per block: sources, unknowns, branch currents and the
 #: current-law audit are computed this many time points at a time.
 _BLOCK = 4096
+
+#: Steps per chunk of the scan that advances the state within a block.
+_CHUNK = 16
 
 #: Element kinds, in the order of ``CompiledStep.index``.
 _KINDS = (Resistor, Capacitor, Inductor, CurrentSource, VoltageSource)
@@ -368,7 +376,22 @@ def transient(net: Network, cfg: SimConfig,
     # State layout: cap_u, cap_i, ind_u, ind_i.
     cap_i_rows = slice(n_c, 2 * n_c)
     ind_i_rows = slice(n_z - len(ind_idx), n_z)
-    Mt = np.ascontiguousarray(step.M.T)
+
+    # The chunked scan, in row form (a state is a row z, a step z M^T + w).
+    # Over a chunk of K steps, a row of drives times ``toeplitz`` (block
+    # (i, j) is M^(j-i) transposed, zero for i > j) is the response from
+    # a zero start, and a start state times ``lift`` (block j is M^(j+1)
+    # transposed) is the response to the start.
+    K = _CHUNK
+    powers = [np.eye(n_z)]
+    for _ in range(K):
+        powers.append(step.M @ powers[-1])
+    toeplitz = np.zeros((K * n_z, K * n_z))
+    for i in range(K):
+        for j in range(i, K):
+            toeplitz[i * n_z:(i + 1) * n_z, j * n_z:(j + 1) * n_z] = powers[j - i].T
+    lift = np.hstack([p.T for p in powers[1:]])
+    jump = np.ascontiguousarray(powers[K].T)
 
     # Initial state: the padded unknowns x and the state z at t = 0.
     x0 = np.zeros(n_x + 1)
@@ -399,15 +422,27 @@ def transient(net: Network, cfg: SimConfig,
         hi = min(lo + _BLOCK, steps + 1) if lo else 1
         s = np.vstack([src[lo:hi] for src in sources])
         if lo:
-            # The recurrence itself, one row of zs per step (zs[0] = z_{lo-1}).
-            zs = np.empty((hi - lo + 1, n_z))
-            zs[0] = z
-            zs[1:] = (step.N @ s).T
-            rows = list(zs)
+            # The recurrence, one row of zs per step (zs[0] = z_{lo-1}),
+            # a chunk at a time; the drive is padded with zeros to whole
+            # chunks, which changes no step before the padding.
+            n = hi - lo
+            chunks = -(-n // K)
+            drive = np.zeros((chunks * K, n_z))
+            drive[:n] = (step.N @ s).T
+            free = drive.reshape(chunks, K * n_z) @ toeplitz
+            # Each chunk's start state is the previous start carried
+            # across a whole chunk plus that chunk's zero-start end.
+            starts = np.empty((chunks, n_z))
+            starts[0] = z
+            starts[1:] = free[:-1, (K - 1) * n_z:]
+            rows = list(starts)
             buf = np.empty(n_z)
             for prev, cur in zip(rows, rows[1:]):
-                np.dot(prev, Mt, out=buf)
+                np.dot(prev, jump, out=buf)
                 cur += buf
+            zs = np.empty((n + 1, n_z))
+            zs[0] = z
+            zs[1:] = (free + starts @ lift).reshape(chunks * K, n_z)[:n]
             z = zs[-1].copy()
             # The unknowns are solved from the assembled right-hand side,
             # not through a composed map from (z, s): terms that cancel at

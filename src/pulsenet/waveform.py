@@ -131,10 +131,9 @@ def write_waveform_csv(path, wave: Waveform) -> None:
         lines.append(f"# unit = {wave.unit}")
     lines.append(f"# dt = {wave.dt:.17g}")
     lines.append("time_s,value")
-    times = wave.times()
-    lines.extend(f"{times[k]:.17g},{wave.samples[k]:.17g}"
-                 for k in range(len(wave)))
-    Path(path).write_text("\n".join(lines) + "\n", encoding="ascii")
+    rows = np.column_stack((wave.times(), wave.samples))
+    body = ("%.17g,%.17g\n" * len(wave)) % tuple(rows.ravel().tolist())
+    Path(path).write_text("\n".join(lines) + "\n" + body, encoding="ascii")
 
 
 def read_waveform_csv(path) -> Waveform:

@@ -15,6 +15,7 @@ from pulsenet import (Branch, Capacitor, CurrentSource, InitialCondition,
                       SimConfig, SimulationError, StimulusSpec,
                       VoltageSource, Waveform, boundary, compile_step,
                       dc_operating_point, driver_network, transient)
+from pulsenet.simulate import _BLOCK, _CHUNK
 
 TABLE = dict(R=2.555, L=6.184e-12, C=0.3557e-9, R_spon=2.811e-3, R_o=-5.511e-3)
 BIAS = 31e-3
@@ -305,6 +306,18 @@ def state_labels(net, step):
             + [f"u:{b}" for b in inds] + [f"i:{b}" for b in inds])
 
 
+def recorded_state(res, step):
+    """The state z at every recorded time, read off the record of ``res``."""
+    v, i = res.node_voltages, res.branch_currents
+    rows = []
+    for label in state_labels(res.network, step):
+        kind, bid = label.split(":")
+        br = res.network.branch(bid)
+        rows.append(v[br.start].samples - v[br.end].samples if kind == "u"
+                    else i[bid].samples)
+    return np.array(rows).reshape(len(rows), res.config.steps + 1)
+
+
 def test_compiled_maps_are_read_only_and_describe_the_run():
     # The maps of the public object reproduce the recorded run: the
     # state recurrence and the solve of the unknowns, step for step.
@@ -317,14 +330,7 @@ def test_compiled_maps_are_read_only_and_describe_the_run():
         assert not array.flags.writeable
     res = transient(net, cfg, initial)
     v, i = res.node_voltages, res.branch_currents
-
-    def record(label):
-        kind, bid = label.split(":")
-        br = net.branch(bid)
-        return (v[br.start].samples - v[br.end].samples if kind == "u"
-                else i[bid].samples)
-
-    z = np.array([record(label) for label in state_labels(net, step)])
+    z = recorded_state(res, step)
     s = np.full((1, cfg.steps + 1), 5.0)   # the one source, VS
     nodes = sorted((r, n) for n, r in step.row.items() if r >= 0)
     x = np.array([v[n].samples for _, n in nodes] + [i["VS"].samples])
@@ -383,3 +389,72 @@ def test_tee_modes_on_the_unit_circle(method):
         else {1: "u:CTEE"}
     assert modes == expected
     assert np.max(np.abs(np.delete(w, on_circle))) < 1.0
+
+
+def recurrence_record(res):
+    """Node voltages and branch currents of the run of ``res`` by
+    ``compile_step``'s maps, one explicit step z_n = M z_{n-1} + N s_n
+    at a time from the state ``res`` records at t = 0.  The t = 0
+    column, the supplied state, is taken from ``res``."""
+    net, cfg = res.network, res.config
+    step = compile_step(net, cfg)
+    _, cap_idx, ind_idx, isrc_idx, vsrc_idx = step.index.values()
+    times = cfg.dt * np.arange(cfg.steps + 1)
+    s = np.array([source_samples(net.branches[k].element.amps, times)
+                  for k in isrc_idx]
+                 + [source_samples(net.branches[k].element.volts, times)
+                    for k in vsrc_idx])
+    z = recorded_state(res, step)
+    for n in range(1, cfg.steps + 1):
+        z[:, n] = step.M @ z[:, n - 1] + step.N @ s[:, n]
+    n_v, n_c, n_z = len(step.row) - 1, len(cap_idx), len(step.M)
+    x = np.zeros((len(step.G) + 1, times.size))
+    x[:-1, 1:] = np.linalg.solve(step.G, step.Rz @ z[:, :-1] + step.Rs @ s[:, 1:])
+    I = step.g[:, None] * (x[step.a_rows] - x[step.b_rows])
+    I[cap_idx] = z[n_c:2 * n_c]
+    I[ind_idx] = z[n_z - len(ind_idx):]
+    I[isrc_idx] = s[:len(isrc_idx)]
+    I[vsrc_idx] = x[n_v:-1]
+    volts = {label: x[r] for label, r in step.row.items()}
+    currents = dict(zip(net.branch_ids, I))
+    for wave, record in ((res.node_voltages, volts),
+                         (res.branch_currents, currents)):
+        for key, samples in record.items():
+            samples[0] = wave[key].samples[0]
+    return volts, currents
+
+
+def scan_edge_networks(steps):
+    """The tee driver, a ringing RLC circuit and a resistive network
+    with no state at all, each run for ``steps`` steps."""
+    cfg = SimConfig(t_end=steps * 1e-12, dt=1e-12)
+    tee = driver_network(spec(delay=0.0), LaserCircuit(**TABLE),
+                         t_end=cfg.t_end, dt=cfg.dt)
+    rlc, _, rlc_start = rlc_networks()["rlc-ringdown"]
+    ramp = Waveform(0.0, 1e-12, 1e-3 * np.arange(steps + 1), "A")
+    resistive = Network.from_branches([
+        Branch("I1", "0", "a", CurrentSource(ramp)),
+        Branch("VS", "b", "0", VoltageSource(0.5)),
+        Branch("R1", "a", "b", Resistor(50.0)),
+        Branch("R2", "a", "0", Resistor(75.0)),
+    ], reference="0")
+    return {
+        "tee-driver": (tee, cfg, dc_operating_point(tee)),
+        "rlc-ringdown": (rlc, SimConfig(t_end=steps * 10e-9, dt=10e-9), rlc_start),
+        "resistive": (resistive, cfg, None),
+    }
+
+
+@pytest.mark.parametrize("steps", [1, _CHUNK - 1, _CHUNK, _CHUNK + 1, _BLOCK,
+                                   _BLOCK + 1, _BLOCK + _CHUNK + 1])
+@pytest.mark.parametrize("method", METHODS)
+@pytest.mark.parametrize("name", ["tee-driver", "rlc-ringdown", "resistive"])
+def test_scan_matches_the_one_step_recurrence(name, method, steps):
+    # The scan advances the state a chunk of _CHUNK steps at a time inside
+    # blocks of _BLOCK steps; at and around every chunk and block edge
+    # the record is that of stepping the same maps one step at a time.
+    net, cfg, initial = scan_edge_networks(steps)[name]
+    cfg = SimConfig(t_end=cfg.t_end, dt=cfg.dt, method=method)
+    assert cfg.steps == steps
+    res = transient(net, cfg, initial)
+    assert_agrees(res, *recurrence_record(res))

@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 
 from pulsenet import SimulationError, StimulusSpec, TopologyError, fwhm, stimulus
-from pulsenet.driver import MIN_SAMPLES_PER_FWHM
+from pulsenet.driver import MIN_SAMPLES_PER_FWHM, _shape_values
 
 
 def spec600(**overrides):
@@ -93,6 +93,40 @@ def test_grid_offset_start():
     wave = stimulus(spec600(), t_end=4e-9, dt=1e-12, t0=2e-9)
     assert wave.t0 == 2e-9
     assert wave.times()[-1] == pytest.approx(4e-9, abs=1e-15)
+
+
+def full_grid_stimulus(spec, t_end, dt, t0):
+    """Every pulse evaluated on the whole grid and summed."""
+    n = int(round((t_end - t0) / dt)) + 1
+    t = t0 + dt * np.arange(n)
+    out = np.zeros(n)
+    first = math.floor((t[0] - spec.pulse_center(0)) * spec.rate) - 1
+    last = math.ceil((t[-1] - spec.pulse_center(0)) * spec.rate) + 1
+    for k in range(max(first, 0), last + 1):
+        out += _shape_values(spec, t - spec.pulse_center(k))
+    return spec.amplitude * out
+
+
+@pytest.mark.parametrize("shape", ["trapezoid", "raised-cosine", "gaussian"])
+def test_train_is_bit_identical_to_the_full_grid_sum(shape):
+    # Pulses are evaluated on their support only; the grid starts and
+    # ends inside a pulse as well as between pulses.
+    dt = 5e-12
+    for rate in (100e6, 333e6, 1e9):
+        for delay in (0.0, 37e-12, 1.3e-9):
+            for amplitude in (7.5e-3, -2e-3):
+                spec = spec600(width=200e-12, edge=50e-12, rate=rate, delay=delay,
+                               amplitude=amplitude, shape=shape)
+                mid, period = spec.pulse_center, 1.0 / rate
+                for t0 in (0.0, -0.77e-9, mid(0) + 0.1 * spec.extent,
+                           mid(0) + 0.5 * period):
+                    for stop in (mid(2) + 0.3 * spec.extent, mid(2) + 0.5 * period,
+                                 mid(3) - 0.2 * spec.extent):
+                        t_end = t0 + math.ceil((stop - t0) / dt) * dt
+                        wave = stimulus(spec, t_end, dt, t0=t0)
+                        ref = full_grid_stimulus(spec, t_end, dt, t0)
+                        assert wave.samples.tobytes() == ref.tobytes(), \
+                            (rate, delay, amplitude, t0, stop)
 
 
 def test_resolution_guard():

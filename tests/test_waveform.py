@@ -81,6 +81,36 @@ def test_csv_round_trip_is_bit_exact(tmp_path):
     assert (tmp_path / "again.csv").read_bytes() == path.read_bytes()
 
 
+def per_row_csv(wave):
+    """The waveform file as formatted one row at a time."""
+    lines = ["# pulsenet waveform v1"]
+    if wave.unit:
+        lines.append(f"# unit = {wave.unit}")
+    lines.append(f"# dt = {wave.dt:.17g}")
+    lines.append("time_s,value")
+    times = wave.times()
+    lines.extend(f"{times[k]:.17g},{wave.samples[k]:.17g}"
+                 for k in range(len(wave)))
+    return ("\n".join(lines) + "\n").encode("ascii")
+
+
+@pytest.mark.parametrize("unit", ["A", ""])
+@pytest.mark.parametrize("seed", [1, 2, 3])
+def test_csv_writer_matches_the_per_row_formatter(tmp_path, seed, unit):
+    rng = np.random.default_rng(seed)
+    n = int(rng.integers(8, 600))
+    samples = rng.standard_normal(n) * 10.0 ** rng.integers(-300, 300, n)
+    special = [-0.0, 0.0, 5e-324, -2.2e-310, 1e308, -1e308, 1.0, -1.0]
+    samples[rng.choice(n, size=len(special), replace=False)] = special
+    w = Waveform(float(rng.uniform(-1e-6, 1e-6)), float(rng.uniform(1e-13, 1e-9)),
+                 samples, unit)
+    path = tmp_path / "wave.csv"
+    write_waveform_csv(path, w)
+    assert path.read_bytes() == per_row_csv(w)
+    assert np.signbit(read_waveform_csv(path).samples).tolist() == \
+        np.signbit(samples).tolist()
+
+
 def test_reader_accepts_headerless_files(tmp_path):
     path = tmp_path / "plain.csv"
     path.write_text("0.0,1.0\n1.0,2.0\n2.0,3.0\n")
