@@ -21,6 +21,7 @@ form, so this is the basis exact elimination gives, vector for vector.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 from typing import Any, Callable, Iterable, Mapping, Sequence
 
 import numpy as np
@@ -98,7 +99,7 @@ class Network:
                     nodes.append(label)
         return cls(tuple(nodes), branches, reference)
 
-    @property
+    @cached_property
     def branch_ids(self) -> tuple[str, ...]:
         return tuple(br.id for br in self.branches)
 
@@ -255,8 +256,9 @@ def _currents_vector(net: Network,
         missing = [br.id for br in net.branches if br.id not in currents]
         if missing:
             raise TopologyError(f"missing currents for branches {missing}")
-        extra = set(currents) - set(net.branch_ids)
-        if extra:
+        # Every branch has a current, so only a longer mapping has extras.
+        if len(currents) != len(net.branches):
+            extra = set(currents) - set(net.branch_ids)
             raise TopologyError(f"currents given for unknown branches {sorted(extra)}")
         return [currents[br.id] for br in net.branches]
     vec = list(currents)

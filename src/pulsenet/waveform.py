@@ -5,10 +5,22 @@ metrology routines and the statistics layer: a read-only float64 vector
 plus a start time and a fixed sample interval.  Files use a small
 self-describing CSV dialect (``time_s,value`` rows, ``#`` comment
 header) that round-trips bit exactly through ``%.17g`` formatting.
+
+Comment lines, blank lines and ``time_s,value`` header rows may stand
+only before the first data row; ``# unit = ...`` and ``# dt = ...``
+comments there set the unit and the exact sample interval.  From the
+first data row on, every line is either empty or one ``time,value``
+pair of finite numbers, which numpy's text parser reads in one call.
+Rejected there, each naming ``path:line``: a comment line, a header
+row, a line of only spaces or tabs, a trailing ``# note``, a row with
+other than two fields, and a field that is not a finite number
+(``nan``, ``inf``, ``1_0``, an empty field).  Spaces and tabs around a
+field are allowed, and so are CRLF line endings.
 """
 
 from __future__ import annotations
 
+import itertools
 import math
 from dataclasses import dataclass
 from pathlib import Path
@@ -136,67 +148,119 @@ def write_waveform_csv(path, wave: Waveform) -> None:
     Path(path).write_text("\n".join(lines) + "\n" + body, encoding="ascii")
 
 
+#: The bulk parse of the data rows: comma-separated float64 fields and
+#: no comment character, so a ``#`` after the first data row is an
+#: error rather than something skipped.
+_ROWS = dict(delimiter=",", comments=None, ndmin=2, dtype=np.float64)
+
+
+def _is_header(line: str) -> bool:
+    return line.lower().replace(" ", "") == "time_s,value"
+
+
+def _load_rows(lines) -> np.ndarray | None:
+    """``lines`` as an (n, 2) array, or None when numpy's parser rejects
+    a line or the rows do not hold two fields.  Empty lines are skipped."""
+    try:
+        rows = np.loadtxt(lines, **_ROWS)
+    except ValueError:
+        return None
+    return rows if rows.shape[1] == 2 else None
+
+
+def _rows_ok(lines) -> bool:
+    """True when ``lines`` parse as rows of finite numbers or are all empty."""
+    if not any(lines):
+        return True
+    rows = _load_rows(lines)
+    return rows is not None and bool(np.isfinite(rows).all())
+
+
+def _data_lines(path: Path, first: int) -> list[str]:
+    """The file's lines from line ``first`` on, split as the parse split them."""
+    return path.read_text(encoding="utf-8").split("\n")[first - 1:]
+
+
+def _bad_row(path: Path, first: int) -> WaveformError:
+    """The error for the first line from ``first`` on that the bulk parse
+    rejects or reads as non-finite.
+
+    The line is found by bisection with the bulk parse itself as the
+    judge, so this pass cannot accept what the parse rejected."""
+    lines = _data_lines(path, first)
+    lo, hi = 0, len(lines)
+    while hi - lo > 1:
+        mid = (lo + hi) // 2
+        if _rows_ok(lines[lo:mid]):
+            lo = mid
+        else:
+            hi = mid
+    raw = lines[lo]
+    line = raw.strip()
+    if _load_rows([raw]) is not None:
+        what = f"non-finite field in {raw!r}"
+    elif not line:
+        what = f"whitespace-only line {raw!r} after the first data row"
+    elif line.startswith("#"):
+        what = f"comment {raw!r} after the first data row"
+    elif _is_header(line):
+        what = f"header {raw!r} after the first data row"
+    elif len(line.split(",")) != 2:
+        what = f"expected 'time,value', got {raw!r}"
+    else:
+        what = f"non-numeric field in {raw!r}"
+    return WaveformError(f"{path}:{first + lo}: {what}")
+
+
 def read_waveform_csv(path) -> Waveform:
     """Parse a waveform CSV file written by us or by compatible tools.
 
-    Accepts ``#`` comment lines (a ``# dt = ...`` comment, when present,
-    supplies the exact sample interval), an optional ``time_s,value``
-    header row, then one ``time,value`` pair per line.  Rows must be
-    uniformly spaced to within ``DT_UNIFORMITY_RTOL``; the first
-    offending row is named in the error.
+    The dialect, and what it rejects, is described in the module
+    docstring.  Rows must be uniformly spaced to within
+    ``DT_UNIFORMITY_RTOL``.  Every rejected file names its first
+    offending line.
     """
     path = Path(path)
     try:
-        text = path.read_text(encoding="utf-8")
-    except OSError as exc:
+        return _read(path)
+    except (OSError, UnicodeDecodeError) as exc:
         raise WaveformError(f"cannot read waveform file {path}: {exc}") from exc
 
+
+def _read(path: Path) -> Waveform:
     unit = ""
     dt_header: float | None = None
-    times: list[float] = []
-    values: list[float] = []
-    linenos: list[int] = []
-    for lineno, raw in enumerate(text.splitlines(), start=1):
-        line = raw.strip()
-        if not line:
-            continue
-        if line.startswith("#"):
-            body = line.lstrip("#").strip()
-            if "=" in body:
-                key, _, val = body.partition("=")
-                key = key.strip().lower()
-                val = val.strip()
-                if key == "unit":
-                    unit = val
-                elif key == "dt":
-                    try:
-                        dt_header = float(val)
-                    except ValueError:
-                        raise WaveformError(
-                            f"{path}:{lineno}: bad dt header {val!r}") from None
-            continue
-        if line.lower().replace(" ", "") == "time_s,value":
-            continue
-        parts = line.split(",")
-        if len(parts) != 2:
-            raise WaveformError(
-                f"{path}:{lineno}: expected 'time,value', got {raw!r}")
-        try:
-            t = float(parts[0])
-            v = float(parts[1])
-        except ValueError:
-            raise WaveformError(
-                f"{path}:{lineno}: non-numeric field in {raw!r}") from None
-        if not (math.isfinite(t) and math.isfinite(v)):
-            raise WaveformError(f"{path}:{lineno}: non-finite field in {raw!r}")
-        times.append(t)
-        values.append(v)
-        linenos.append(lineno)
+    with path.open(encoding="utf-8") as fh:
+        # Python reads the leading lines up to the first data row; numpy
+        # parses that row and every one after it.
+        for first, raw in enumerate(fh, start=1):
+            line = raw.strip()
+            if line.startswith("#"):
+                body = line.lstrip("#").strip()
+                if "=" in body:
+                    key, _, val = body.partition("=")
+                    key = key.strip().lower()
+                    val = val.strip()
+                    if key == "unit":
+                        unit = val
+                    elif key == "dt":
+                        try:
+                            dt_header = float(val)
+                        except ValueError:
+                            raise WaveformError(
+                                f"{path}:{first}: bad dt header {val!r}") from None
+            elif line and not _is_header(line):
+                rows = _load_rows(itertools.chain([raw], fh))
+                break
+        else:
+            raise WaveformError(f"{path}: waveform needs at least two data rows")
 
-    if len(times) < 2:
+    if rows is None or not np.isfinite(rows).all():
+        raise _bad_row(path, first)
+    if len(rows) < 2:
         raise WaveformError(f"{path}: waveform needs at least two data rows")
 
-    t_arr = np.asarray(times)
+    t_arr = rows[:, 0]
     if dt_header is not None:
         dt = dt_header
     else:
@@ -209,8 +273,9 @@ def read_waveform_csv(path) -> Waveform:
     bad = np.flatnonzero(np.abs(t_arr - grid) > DT_UNIFORMITY_RTOL * dt)
     if bad.size:
         k = int(bad[0])
+        lineno = first + [i for i, s in enumerate(_data_lines(path, first)) if s][k]
         raise WaveformError(
-            f"{path}:{linenos[k]}: non-uniform sampling at data row {k + 1} "
-            f"(t={times[k]:.17g}, expected {grid[k]:.17g})")
+            f"{path}:{lineno}: non-uniform sampling at data row {k + 1} "
+            f"(t={t_arr[k]:.17g}, expected {grid[k]:.17g})")
 
-    return Waveform(float(t_arr[0]), float(dt), values, unit)
+    return Waveform(float(t_arr[0]), float(dt), rows[:, 1], unit)
