@@ -147,7 +147,7 @@ def load_config(path, schema: Mapping[str, Key]) -> dict[str, Any]:
     path = Path(path)
     try:
         text = path.read_text(encoding="utf-8")
-    except OSError as exc:
+    except (OSError, UnicodeDecodeError) as exc:
         raise ConfigError(f"cannot read config {path}: {exc}") from exc
     return parse_config_text(text, schema, str(path))
 

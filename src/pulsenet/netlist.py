@@ -98,7 +98,7 @@ def read_netlist(path, reference: str | None = None) -> Network:
     path = Path(path)
     try:
         text = path.read_text(encoding="utf-8")
-    except OSError as exc:
+    except (OSError, UnicodeDecodeError) as exc:
         raise NetlistError(f"cannot read netlist {path}: {exc}") from exc
     return parse_netlist(text, base_dir=path.parent, source=str(path),
                          reference=reference)

@@ -35,9 +35,20 @@ rejected rather than silently returned.  The record is frozen at the
 end, so its waveforms share it instead of copying it.  The module needs
 numpy only.
 
-``compile_step`` and ``dc_operating_point`` stamp G with one assembler,
-``_assemble``; they differ only in the conductance each element gets
-(at DC, inductors join the voltage sources as current unknowns).
+The matrices come from the network's boundary operator
+(``topology.boundary``).  With A its incidence matrix without the
+reference row, +1 at a branch's start node and -1 at its end, the
+branch voltages are A^T v for node voltages v, a vector of branch
+currents i injects -A i into the nodes, and
+
+    G = [[A diag(g) A^T, A_x], [A_x^T, 0]]
+
+where g holds the branch conductances and A_x the columns of the
+branches whose current is an unknown (Ho, Ruehli and Brennan, IEEE
+Trans. Circuits Syst. 1975).  ``compile_step`` and
+``dc_operating_point`` build G with one assembler, ``_assemble``; they
+differ only in the conductance each element gets (at DC, inductors join
+the voltage sources as current unknowns).
 
 Trapezoidal integration is the default: it is second order and, for
 lossless LC loops, preserves the stored energy exactly (in exact
@@ -188,42 +199,34 @@ def _checked_network(net: Network) -> None:
 
 
 def _assemble(net: Network, conductance: Callable[[Element], float | None]
-              ) -> tuple[dict[str, int], np.ndarray, np.ndarray, np.ndarray,
-                         np.ndarray]:
-    """Modified-nodal matrix of ``net``, stamped in branch order.
+              ) -> tuple[dict[str, int], np.ndarray, np.ndarray, np.ndarray]:
+    """Modified-nodal matrix of ``net`` from its boundary operator.
 
-    ``conductance(element)`` is what a branch stamps between its ends:
-    a conductance, 0.0 for nothing (a current source), or None when the
-    branch current is itself an unknown.  Those currents take the
-    columns after the node voltages, in branch order.  Returns the row
-    map (the reference is -1), G with one extra row and column that
-    catch the reference-node stamps, each branch's start and end rows in
-    that padded G, and each branch's conductance (0.0 for None).
+    ``conductance(element)`` is a branch's conductance, 0.0 for nothing
+    (a current source), or None when the branch current is itself an
+    unknown.  With A the incidence matrix without the reference row (+1
+    at a branch's start node, -1 at its end), g the conductances (0.0
+    for None) and A_x the columns of the current unknowns, in branch
+    order,
+
+        G = [[A diag(g) A^T, A_x], [A_x^T, 0]]
+
+    Returns the row map (the reference is -1), G, A and g.
     """
-    g = [conductance(br.element) for br in net.branches]
-    pad = len(net.nodes) - 1 + g.count(None)
-    row = {label: k for k, label in
-           enumerate(n for n in net.nodes if n != net.reference)}
+    cond = [conductance(br.element) for br in net.branches]
+    g = np.array([gk or 0.0 for gk in cond])
+    keep = [k for k, label in enumerate(net.nodes) if label != net.reference]
+    A = (-boundary(net).matrix[keep]).astype(np.float64)
+    A_x = A[:, [k for k, gk in enumerate(cond) if gk is None]]
+    n_v = len(keep)
+    G = np.zeros((n_v + A_x.shape[1],) * 2)
+    with np.errstate(invalid="ignore"):   # 0 * inf; _solve rejects the NaN
+        G[:n_v, :n_v] = (A * g) @ A.T
+    G[:n_v, n_v:] = A_x
+    G[n_v:, :n_v] = A_x.T
+    row = {net.nodes[k]: r for r, k in enumerate(keep)}
     row[net.reference] = -1
-    a_rows = np.array([row[br.start] for br in net.branches], dtype=np.intp)
-    b_rows = np.array([row[br.end] for br in net.branches], dtype=np.intp)
-    a_rows[a_rows < 0] = pad
-    b_rows[b_rows < 0] = pad
-    Gp = np.zeros((pad + 1, pad + 1))
-    j = len(net.nodes) - 1
-    for ia, ib, gk in zip(a_rows.tolist(), b_rows.tolist(), g):
-        if gk is None:
-            Gp[ia, j] += 1.0
-            Gp[ib, j] -= 1.0
-            Gp[j, ia] += 1.0
-            Gp[j, ib] -= 1.0
-            j += 1
-        elif gk:
-            Gp[ia, ia] += gk
-            Gp[ib, ib] += gk
-            Gp[ia, ib] -= gk
-            Gp[ib, ia] -= gk
-    return row, Gp, a_rows, b_rows, np.array([gk or 0.0 for gk in g])
+    return row, G, A, g
 
 
 def _source_samples(br: Branch, times: np.ndarray) -> np.ndarray:
@@ -261,13 +264,14 @@ class CompiledStep:
 
         z_n = M z_{n-1} + N s_n        G x_n = Rz z_{n-1} + Rs s_n
 
-    where x holds the node voltages (at ``row[node]``) and then the
-    voltage-source currents.  ``a_rows`` and ``b_rows`` are each
-    branch's start and end rows in x padded with one zero for the
-    reference, ``g`` each branch's conductance in G (0.0 for a source)
-    and ``index[kind]`` the branches of each element kind, in the order
-    resistor, capacitor, inductor, current source, voltage source.
-    The arrays are read-only.
+    where x holds the node voltages v (at ``row[node]``) and then the
+    voltage-source currents.  A is the incidence matrix without the
+    reference row, +1 at each branch's start node and -1 at its end, so
+    A^T v are the branch voltages; g is each branch's conductance (0.0
+    for a source), and G = [[A diag(g) A^T, A_x], [A_x^T, 0]] with A_x
+    the voltage-source columns of A.  ``index[kind]`` lists the
+    branches of each element kind, in the order resistor, capacitor,
+    inductor, current source, voltage source.  The arrays are read-only.
     """
 
     row: Mapping[str, int]
@@ -277,8 +281,7 @@ class CompiledStep:
     M: np.ndarray
     N: np.ndarray
     g: np.ndarray
-    a_rows: np.ndarray
-    b_rows: np.ndarray
+    A: np.ndarray
     index: Mapping[type, np.ndarray]
 
 
@@ -300,9 +303,8 @@ def compile_step(net: Network, cfg: SimConfig) -> CompiledStep:
             return (cfg.dt / (2.0 * el.henries)) if trap else (cfg.dt / el.henries)
         return None if isinstance(el, VoltageSource) else 0.0
 
-    row, Gp, a_rows, b_rows, g = _assemble(net, companion)
-    n_v = len(net.nodes) - 1
-    n_x = len(Gp) - 1
+    row, G, A, g = _assemble(net, companion)
+    n_v = len(A)
     index = {kind: np.array([k for k, br in enumerate(net.branches)
                              if isinstance(br.element, kind)], dtype=np.intp)
              for kind in _KINDS}
@@ -310,30 +312,21 @@ def compile_step(net: Network, cfg: SimConfig) -> CompiledStep:
     cap_g, ind_g = g[cap_idx, None], g[ind_idx, None]
     n_c, n_l, n_i = len(cap_idx), len(ind_idx), len(isrc_idx)
     n_z = 2 * (n_c + n_l)
-    G = Gp[:n_x, :n_x]
 
     def assemble(z: np.ndarray, s: np.ndarray) -> np.ndarray:
         """Right-hand side for columns of state z and sources s."""
         cap_u, cap_i, ind_u, ind_i = np.split(z, [n_c, 2 * n_c, 2 * n_c + n_l])
-        rhs = np.zeros((n_x + 1, z.shape[1]))
-        # independent sources
-        np.subtract.at(rhs, a_rows[isrc_idx], s[:n_i])
-        np.add.at(rhs, b_rows[isrc_idx], s[:n_i])
-        rhs[n_v:n_x] = s[n_i:]
-        # companion histories
         cap_hist = cap_g * cap_u + (cap_i if trap else 0.0)
-        np.add.at(rhs, a_rows[cap_idx], cap_hist)
-        np.subtract.at(rhs, b_rows[cap_idx], cap_hist)
         ind_hist = ind_i + (ind_g * ind_u if trap else 0.0)
-        np.subtract.at(rhs, a_rows[ind_idx], ind_hist)
-        np.add.at(rhs, b_rows[ind_idx], ind_hist)
-        return rhs[:n_x]
+        # independent sources, then companion histories
+        nodes = (A[:, isrc_idx] @ -s[:n_i] + A[:, cap_idx] @ cap_hist
+                 - A[:, ind_idx] @ ind_hist)
+        return np.vstack([nodes, s[n_i:]])
 
     def advance(z: np.ndarray, x: np.ndarray) -> np.ndarray:
         """State after a step that solved x from state z (columns)."""
         cap_u, cap_i, ind_u, ind_i = np.split(z, [n_c, 2 * n_c, 2 * n_c + n_l])
-        x_pad = np.vstack([x, np.zeros((1, x.shape[1]))])
-        branch_u = x_pad[a_rows] - x_pad[b_rows]
+        branch_u = A.T @ x[:n_v]
         new_cap_u = branch_u[cap_idx]
         new_cap_i = cap_g * (new_cap_u - cap_u) - (cap_i if trap else 0.0)
         new_ind_u = branch_u[ind_idx]
@@ -343,10 +336,10 @@ def compile_step(net: Network, cfg: SimConfig) -> CompiledStep:
     unit = np.eye(n_z + n_i + len(vsrc_idx))
     r_unit = assemble(unit[:n_z], unit[n_z:])
     z_unit = advance(unit[:n_z], _solve(G, r_unit, _SINGULAR))
-    for array in (G, r_unit, z_unit, g, a_rows, b_rows, *index.values()):
+    for array in (G, r_unit, z_unit, g, A, *index.values()):
         array.setflags(write=False)   # and so every slice taken below
     return CompiledStep(row, G, r_unit[:, :n_z], r_unit[:, n_z:], z_unit[:, :n_z],
-                        z_unit[:, n_z:], g, a_rows, b_rows, index)
+                        z_unit[:, n_z:], g, A, index)
 
 
 def transient(net: Network, cfg: SimConfig,
@@ -370,8 +363,8 @@ def transient(net: Network, cfg: SimConfig,
     res_idx, cap_idx, ind_idx, isrc_idx, vsrc_idx = step.index.values()
     sources = [_source_samples(net.branches[k], times)
                for k in (*isrc_idx, *vsrc_idx)]
-    a_rows, b_rows, g_br = step.a_rows, step.b_rows, step.g[:, None]
-    n_v, n_x, n_z = len(net.nodes) - 1, len(step.G), len(step.M)
+    A, g_br = step.A, step.g[:, None]
+    n_v, n_z = len(A), len(step.M)
     n_c, n_i = len(cap_idx), len(isrc_idx)
     # State layout: cap_u, cap_i, ind_u, ind_i.
     cap_i_rows = slice(n_c, 2 * n_c)
@@ -393,18 +386,18 @@ def transient(net: Network, cfg: SimConfig,
     lift = np.hstack([p.T for p in powers[1:]])
     jump = np.ascontiguousarray(powers[K].T)
 
-    # Initial state: the padded unknowns x and the state z at t = 0.
-    x0 = np.zeros(n_x + 1)
+    # Initial state: the unknowns x and the state z at t = 0.
+    v0 = np.zeros(n_v)
     for label, volt in initial.node_voltages.items():
         r = step.row[label]
         if r >= 0:
-            x0[r] = float(volt)
+            v0[r] = float(volt)
         elif volt:
             raise SimulationError("reference node voltage must be 0")
     i0 = np.array([float(initial.branch_currents.get(br.id, 0.0))
                    for br in net.branches])
-    x0[n_v:n_x] = i0[vsrc_idx]
-    u0 = x0[a_rows] - x0[b_rows]
+    x0 = np.concatenate([v0, i0[vsrc_idx]])
+    u0 = A.T @ v0
     z = np.concatenate([u0[cap_idx], i0[cap_idx], u0[ind_idx], i0[ind_idx]])
 
     I_rec = np.zeros((len(net.branches), steps + 1))
@@ -449,20 +442,18 @@ def transient(net: Network, cfg: SimConfig,
             # a node (a bias current against its choke's current) then
             # cancel before the solve scales them by 1/g of a small
             # companion conductance, not after.
-            x_pad = np.zeros((n_x + 1, hi - lo))
-            x_pad[:n_x] = _solve(step.G, step.Rz @ zs[:-1].T + step.Rs @ s,
-                                 _SINGULAR)
+            x = _solve(step.G, step.Rz @ zs[:-1].T + step.Rs @ s, _SINGULAR)
             z_new = zs[1:].T
         else:
-            x_pad, z_new = x0[:, None], z[:, None]
-        u = x_pad[a_rows] - x_pad[b_rows]
-        V_rec[:, lo:hi] = x_pad[:n_v]
+            x, z_new = x0[:, None], z[:, None]
+        u = A.T @ x[:n_v]
+        V_rec[:, lo:hi] = x[:n_v]
         I = I_rec[:, lo:hi]
         I[res_idx] = u[res_idx] * g_br[res_idx]
         I[cap_idx] = z_new[cap_i_rows]
         I[ind_idx] = z_new[ind_i_rows]
         I[isrc_idx] = s[:n_i]
-        I[vsrc_idx] = x_pad[n_v:n_x]
+        I[vsrc_idx] = x[n_v:]
 
         if lo:
             max_resid = max(max_resid, float(np.max(np.abs(D @ I))))
@@ -504,12 +495,10 @@ def dc_operating_point(net: Network) -> InitialCondition:
             return GMIN
         return None if isinstance(el, (Inductor, VoltageSource)) else 0.0
 
-    row, Gp, a_rows, b_rows, _ = _assemble(net, static)
-    n_v = len(net.nodes) - 1
-    n_x = len(Gp) - 1
-    cur_ids = [br.id for br in net.branches if static(br.element) is None]
-    rhs = np.zeros(n_x + 1)
-    for br, ia, ib in zip(net.branches, a_rows, b_rows):
+    row, G, A, _ = _assemble(net, static)
+    n_v = len(A)
+    at_zero = {}
+    for k, br in enumerate(net.branches):
         el = br.element
         if isinstance(el, (CurrentSource, VoltageSource)):
             value = el.amps if isinstance(el, CurrentSource) else el.volts
@@ -518,19 +507,20 @@ def dc_operating_point(net: Network) -> InitialCondition:
                 raise SimulationError(
                     f"branch {br.id!r}: waveform source spans [{value.t0:g}, "
                     f"{value.t_end:g}] s, which misses the operating point at t = 0")
-        if isinstance(el, VoltageSource):
-            rhs[n_v + cur_ids.index(br.id)] = el.value_at(0.0)
-        elif isinstance(el, CurrentSource):
-            val = el.value_at(0.0)
-            rhs[ia] -= val
-            rhs[ib] += val
+            at_zero[k] = el.value_at(0.0)
+    isrc = [k for k in at_zero if isinstance(net.branches[k].element, CurrentSource)]
+    cur = [k for k, br in enumerate(net.branches) if static(br.element) is None]
+    # Current sources drive their nodes; a voltage source's row holds its
+    # value and an inductor's (a zero-volt source at DC) holds 0.
+    rhs = np.concatenate([A[:, isrc] @ -np.array([at_zero[k] for k in isrc]),
+                          [at_zero.get(k, 0.0) for k in cur]])
 
-    x = _solve(Gp[:n_x, :n_x], rhs[:n_x], "operating point is singular")
+    x = _solve(G, rhs, "operating point is singular")
     if not np.all(np.isfinite(x)):
         raise SimulationError("operating point is singular")
 
     volts = {label: (float(x[r]) if r >= 0 else 0.0) for label, r in row.items()}
-    currents = dict(zip(cur_ids, x[n_v:n_x].tolist()))
+    currents = dict(zip((net.branches[k].id for k in cur), x[n_v:].tolist()))
     return InitialCondition(node_voltages=volts, branch_currents=currents)
 
 

@@ -306,6 +306,22 @@ def test_uncountable_step_count_is_an_error_not_a_traceback(tmp_path):
     assert "Traceback" not in proc.stderr
 
 
+@pytest.mark.parametrize("command", ["simulate", "laser-params", "netcheck"])
+def test_file_that_is_not_utf8_is_an_error_not_a_traceback(tmp_path, command):
+    # A Latin-1 "µ" (byte 0xb5) is not valid UTF-8.
+    bad = tmp_path / "bad.in"
+    bad.write_bytes(b"width = 600\xb5s\n")
+    args = {"simulate": ["--config", str(bad), "--out", str(tmp_path / "x.csv")],
+            "laser-params": ["--config", str(bad)],
+            "netcheck": [str(bad)]}[command]
+    proc = subprocess.run([sys.executable, "-m", "pulsenet.cli", command, *args],
+                          env=package_env(), capture_output=True, text=True)
+    assert proc.returncode == 1
+    assert proc.stderr.startswith("error:")
+    assert "cannot read" in proc.stderr
+    assert "Traceback" not in proc.stderr
+
+
 def test_usage_errors_exit_two(tmp_path, capsys):
     assert cli.main([]) == 2
     assert cli.main(["frobnicate"]) == 2

@@ -4,6 +4,8 @@
 assembles the right-hand side from the sources and the companion
 histories and solves the LU-factorized system.  ``transient`` must
 reproduce every node voltage and branch current it records.
+``reference_operating_point`` stamps the DC system branch by branch;
+``dc_operating_point`` must reproduce its node voltages and currents.
 """
 
 import numpy as np
@@ -15,7 +17,7 @@ from pulsenet import (Branch, Capacitor, CurrentSource, InitialCondition,
                       SimConfig, SimulationError, StimulusSpec,
                       VoltageSource, Waveform, boundary, compile_step,
                       dc_operating_point, driver_network, transient)
-from pulsenet.simulate import _BLOCK, _CHUNK
+from pulsenet.simulate import _BLOCK, _CHUNK, GMIN
 
 TABLE = dict(R=2.555, L=6.184e-12, C=0.3557e-9, R_spon=2.811e-3, R_o=-5.511e-3)
 BIAS = 31e-3
@@ -123,6 +125,109 @@ def reference_transient(net, cfg, initial):
     volts = {label: (V[r] if r >= 0 else np.zeros(steps + 1))
              for label, r in row.items()}
     return volts, dict(zip(net.branch_ids, I))
+
+
+def reference_operating_point(net):
+    """Operating point by a modified-nodal matrix stamped branch by
+    branch, with a padding row and column that catch the reference
+    node's stamps.  Inductors are zero-volt sources whose currents join
+    the voltage sources' as unknowns, in branch order; capacitors leak
+    ``GMIN``."""
+    def static(el):
+        if isinstance(el, Resistor):
+            return 1.0 / el.ohms
+        if isinstance(el, Capacitor):
+            return GMIN
+        return None if isinstance(el, (Inductor, VoltageSource)) else 0.0
+
+    g = [static(br.element) for br in net.branches]
+    n_v = len(net.nodes) - 1
+    n_x = n_v + g.count(None)
+    row = {label: k for k, label in
+           enumerate(n for n in net.nodes if n != net.reference)}
+    row[net.reference] = -1
+    a_rows = [row[br.start] if row[br.start] >= 0 else n_x for br in net.branches]
+    b_rows = [row[br.end] if row[br.end] >= 0 else n_x for br in net.branches]
+    G = np.zeros((n_x + 1, n_x + 1))
+    rhs = np.zeros(n_x + 1)
+    cur_ids = []
+    for br, a, b, gk in zip(net.branches, a_rows, b_rows, g):
+        el = br.element
+        if gk is None:
+            j = n_v + len(cur_ids)
+            cur_ids.append(br.id)
+            G[a, j] += 1.0
+            G[b, j] -= 1.0
+            G[j, a] += 1.0
+            G[j, b] -= 1.0
+            if isinstance(el, VoltageSource):
+                rhs[j] = el.value_at(0.0)
+        elif gk:
+            G[a, a] += gk
+            G[b, b] += gk
+            G[a, b] -= gk
+            G[b, a] -= gk
+        elif isinstance(el, CurrentSource):
+            val = el.value_at(0.0)
+            rhs[a] -= val
+            rhs[b] += val
+    x = np.linalg.solve(G[:n_x, :n_x], rhs[:n_x])
+    volts = {label: (float(x[r]) if r >= 0 else 0.0) for label, r in row.items()}
+    return InitialCondition(node_voltages=volts,
+                            branch_currents=dict(zip(cur_ids, x[n_v:].tolist())))
+
+
+def dense_network(seed):
+    """Seeded random network on nodes n0 ... n5 and the reference 0.
+
+    Every node has a resistor of 20 to 100 ohm to the reference, so the
+    network always solves.  The hub n0 has a branch to every other node
+    and two to four current sources into it; 12 more branches join
+    random pairs of nodes.  The elements are resistors, some of them
+    negative (-10 to -1 kohm, too weak to outweigh the resistors to the
+    reference), capacitors, inductors, current sources and voltage
+    sources.  Inductors and voltage sources are kept to a forest, since
+    a loop of them makes the operating point singular.
+    """
+    rng = np.random.default_rng(seed)
+    nodes = [f"n{k}" for k in range(6)]
+    tree = {label: label for label in ["0", *nodes]}
+
+    def root(label):
+        while tree[label] != label:
+            label = tree[label]
+        return label
+
+    def element(start, end):
+        kind = rng.choice(["R", "-R", "C", "L", "I", "V"])
+        if kind in ("L", "V"):
+            if root(start) == root(end):
+                kind = "R"
+            else:
+                tree[root(start)] = root(end)
+        return {"R": lambda: Resistor(float(rng.uniform(20.0, 1e3))),
+                "-R": lambda: Resistor(-float(rng.uniform(1e3, 1e4)),
+                                       allow_negative=True),
+                "C": lambda: Capacitor(float(rng.uniform(1e-12, 1e-11))),
+                "L": lambda: Inductor(float(rng.uniform(1e-9, 1e-8))),
+                "I": lambda: CurrentSource(float(rng.uniform(-1e-2, 1e-2))),
+                "V": lambda: VoltageSource(float(rng.uniform(-2.0, 2.0))),
+                }[kind]()
+
+    branches = [Branch(f"RG{k}", label, "0", Resistor(float(rng.uniform(20.0, 100.0))))
+                for k, label in enumerate(nodes)]
+    branches += [Branch(f"H{k}", "n0", label, element("n0", label))
+                 for k, label in enumerate(nodes[1:], start=1)]
+    branches += [Branch(f"IH{k}", str(rng.choice(["0", *nodes[1:]])), "n0",
+                        CurrentSource(float(rng.uniform(-1e-2, 1e-2))))
+                 for k in range(int(rng.integers(2, 5)))]
+    for k in range(12):
+        start, end = rng.choice(["0", *nodes], size=2, replace=False).tolist()
+        branches.append(Branch(f"B{k}", start, end, element(start, end)))
+    return Network.from_branches(branches, reference="0")
+
+
+DENSE_SEEDS = range(40)
 
 
 def assert_agrees(res, volts, currents, rtol=1e-12, current_scale=None):
@@ -247,12 +352,46 @@ def rlc_networks():
     }
 
 
+def reference_inputs():
+    """The closed-form circuits, and dense networks (from zero, 300 steps),
+    whose nodes join many branches and so sum many terms."""
+    dense = {f"dense-{seed}": (dense_network(seed), SimConfig(t_end=3e-9, dt=1e-11),
+                               None)
+             for seed in DENSE_SEEDS[:4]}
+    return {**rlc_networks(), **dense}
+
+
 @pytest.mark.parametrize("method", METHODS)
-@pytest.mark.parametrize("name", sorted(rlc_networks()))
+@pytest.mark.parametrize("name", sorted(reference_inputs()))
 def test_rlc_networks_match_reference(method, name):
-    net, cfg, initial = rlc_networks()[name]
+    net, cfg, initial = reference_inputs()[name]
     assert_agrees(*both_runs(net, SimConfig(t_end=cfg.t_end, dt=cfg.dt,
                                             method=method), initial))
+
+
+@pytest.mark.parametrize("variant", ["without-tee", *sorted(TEE_VARIANTS)])
+def test_operating_point_of_the_driver_is_the_stamped_one(variant):
+    kwargs = dict(bias_tee=False) if variant == "without-tee" else TEE_VARIANTS[variant]
+    net = driver_network(spec(), LaserCircuit(**TABLE), t_end=6e-9, dt=1e-12,
+                         **kwargs)
+    got, ref = dc_operating_point(net), reference_operating_point(net)
+    for field in ("node_voltages", "branch_currents"):
+        a, b = getattr(got, field), getattr(ref, field)
+        assert list(a) == list(b)
+        assert np.array(list(a.values())).tobytes() == np.array(list(b.values())).tobytes()
+
+
+def test_dense_networks_share_the_stamped_operating_point():
+    # Products sum a node's terms in their own order, so hold each
+    # value to 1e-12 of the largest node voltage or current.
+    for seed in DENSE_SEEDS:
+        net = dense_network(seed)
+        got, ref = dc_operating_point(net), reference_operating_point(net)
+        for field in ("node_voltages", "branch_currents"):
+            a, b = getattr(got, field), getattr(ref, field)
+            assert list(a) == list(b)
+            a, b = np.array(list(a.values())), np.array(list(b.values()))
+            assert np.max(np.abs(a - b)) <= 1e-12 * np.max(np.abs(b)), (seed, field)
 
 
 @pytest.mark.parametrize("method", METHODS)
@@ -326,7 +465,7 @@ def test_compiled_maps_are_read_only_and_describe_the_run():
     for name in ("G", "Rz", "Rs", "M", "N"):
         with pytest.raises(ValueError):
             getattr(step, name)[0, 0] = 1.0
-    for array in (step.g, step.a_rows, step.b_rows, *step.index.values()):
+    for array in (step.g, step.A, *step.index.values()):
         assert not array.flags.writeable
     res = transient(net, cfg, initial)
     v, i = res.node_voltages, res.branch_currents
@@ -410,7 +549,7 @@ def recurrence_record(res):
     n_v, n_c, n_z = len(step.row) - 1, len(cap_idx), len(step.M)
     x = np.zeros((len(step.G) + 1, times.size))
     x[:-1, 1:] = np.linalg.solve(step.G, step.Rz @ z[:, :-1] + step.Rs @ s[:, 1:])
-    I = step.g[:, None] * (x[step.a_rows] - x[step.b_rows])
+    I = step.g[:, None] * (step.A.T @ x[:len(step.A)])
     I[cap_idx] = z[n_c:2 * n_c]
     I[ind_idx] = z[n_z - len(ind_idx):]
     I[isrc_idx] = s[:len(isrc_idx)]

@@ -4,11 +4,14 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from pulsenet import (CurrentSource, NetlistError, LaserCircuit, Resistor,
-                      SimConfig, StimulusSpec, VoltageSource, Waveform,
-                      driver_network, emit_netlist, parse_netlist,
-                      read_netlist, sense_current, transient,
+from pulsenet import (Branch, Capacitor, CurrentSource, Inductor, NetlistError,
+                      LaserCircuit, Network, Resistor, SimConfig,
+                      SimulationError, StimulusSpec, VoltageSource, Waveform,
+                      compile_step, driver_network, emit_netlist,
+                      parse_netlist, read_netlist, sense_current, transient,
                       dc_operating_point, write_netlist, write_waveform_csv)
 
 DATA = Path(__file__).parent / "data"
@@ -76,6 +79,48 @@ def test_emit_parse_round_trip(tmp_path):
         a, b = net.branch(bid), back.branch(bid)
         assert (a.start, a.end) == (b.start, b.end)
         assert type(a.element) is type(b.element)
+        assert value_bytes(a.element) == value_bytes(b.element)
+
+
+def value_bytes(el):
+    """The element's value as the bytes of a float64 (so -0.0 != 0.0)."""
+    name = {Resistor: "ohms", Inductor: "henries", Capacitor: "farads",
+            CurrentSource: "amps", VoltageSource: "volts"}[type(el)]
+    return np.float64(getattr(el, name)).tobytes()
+
+
+def compiled_G(net):
+    """Bytes of the compiled G, or the error when extreme values make the
+    step non-finite (a RuntimeWarning is an error in this suite)."""
+    try:
+        return compile_step(net, SimConfig(t_end=1e-9, dt=1e-12)).G.tobytes()
+    except (SimulationError, RuntimeWarning) as exc:
+        return repr(exc)
+
+
+_extremes = st.sampled_from([-0.0, 0.0, 5e-324, -5e-324, 2.2250738585072009e-308,
+                             -1e-310, 1.7e308, -1.7e308, 1.7976931348623157e308])
+_finite = st.one_of(st.floats(allow_nan=False, allow_infinity=False), _extremes)
+_positive = _finite.map(abs).filter(lambda v: v > 0)
+
+
+@settings(max_examples=300, deadline=None)
+@given(ohms=_finite.filter(lambda v: v != 0), henries=_positive,
+       farads=_positive, amps=_finite, volts=_finite)
+def test_emitted_values_parse_back_bit_for_bit(ohms, henries, farads, amps, volts):
+    net = Network.from_branches([
+        Branch("VS", "0", "a", VoltageSource(volts)),
+        Branch("R1", "a", "b", Resistor(ohms, allow_negative=True)),
+        Branch("L1", "b", "c", Inductor(henries)),
+        Branch("C1", "c", "0", Capacitor(farads)),
+        Branch("I1", "0", "c", CurrentSource(amps)),
+    ], reference="0")
+    back = parse_netlist(emit_netlist(net))
+    assert back.branch_ids == net.branch_ids
+    for a, b in zip(net.branches, back.branches):
+        assert type(a.element) is type(b.element)
+        assert value_bytes(a.element) == value_bytes(b.element), a.id
+    assert compiled_G(back) == compiled_G(net)
 
 
 def test_waveform_sources_round_trip_through_sidecars(tmp_path):
