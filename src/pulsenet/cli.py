@@ -19,7 +19,8 @@ import numpy as np
 from . import config as cfgmod
 from . import kstest, laser, metrics, netlist, simulate, svgplot, topology
 from .errors import ConfigError, PulsenetError
-from .waveform import Waveform, read_waveform_csv, write_waveform_csv
+from .waveform import (Waveform, read_waveform_csv, write_rows_csv,
+                       write_waveform_csv)
 
 
 def _qty(text: str, unit: str, flag: str) -> float:
@@ -192,12 +193,9 @@ def _cmd_sweep(args) -> int:
         out_dir.mkdir(parents=True, exist_ok=True)
         for k, (_, sense) in enumerate(runs):
             write_waveform_csv(out_dir / f"run_{k:03d}.csv", sense)
-        lines = ["value,peak,t_peak,fwhm,t_mid"]
-        lines += [",".join(f"{x:.17g}" for x in
-                           (p.value, p.peak, p.t_peak, p.fwhm, p.t_mid))
-                  for p, _ in runs]
-        (out_dir / "summary.csv").write_text("\n".join(lines) + "\n",
-                                             encoding="ascii")
+        write_rows_csv(out_dir / "summary.csv", ["value,peak,t_peak,fwhm,t_mid"],
+                       [(p.value, p.peak, p.t_peak, p.fwhm, p.t_mid)
+                        for p, _ in runs])
         print(f"wrote {len(runs)} runs to {out_dir}")
     return 0
 
@@ -291,11 +289,8 @@ def _cmd_kstest(args) -> int:
         cdf_b = kstest.ecdf(sb)
         # + 0.0 turns a -0.0 into 0.0, which prints as 0
         xs = np.unique(np.concatenate([sa, sb])) + 0.0
-        lines = ["x,F_a,F_b"]
-        lines += [f"{x:.17g},{fa:.17g},{fb:.17g}" for x, fa, fb in
-                  zip(xs.tolist(), cdf_a(xs).tolist(), cdf_b(xs).tolist())]
-        Path(args.emit_cdf).write_text("\n".join(lines) + "\n",
-                                       encoding="ascii")
+        write_rows_csv(args.emit_cdf, ["x,F_a,F_b"],
+                       np.column_stack((xs, cdf_a(xs), cdf_b(xs))))
         print(f"wrote {args.emit_cdf}")
     return 0
 

@@ -61,7 +61,10 @@ def parse_quantity(text: str) -> tuple[float, str]:
             raise ConfigError(
                 f"unknown prefix {prefix!r} at position "
                 f"{len(raw) - len(tail)} in {text!r}")
-        value = value.scaleb(SI_PREFIXES[prefix])
+        # Moves the exponent exactly; scaleb would round to the
+        # context's 28 digits, a second rounding before float().
+        sign, digits, exp = value.as_tuple()
+        value = Decimal((sign, digits, exp + SI_PREFIXES[prefix]))
     if unit == "Ω":
         unit = "ohm"
     return float(value), unit

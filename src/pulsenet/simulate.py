@@ -334,8 +334,19 @@ def compile_step(net: Network, cfg: SimConfig) -> CompiledStep:
         return np.vstack([new_cap_u, new_cap_i, new_ind_u, new_ind_i])
 
     unit = np.eye(n_z + n_i + len(vsrc_idx))
-    r_unit = assemble(unit[:n_z], unit[n_z:])
-    z_unit = advance(unit[:n_z], _solve(G, r_unit, _SINGULAR))
+    # A finite G can still give a map that is not finite (a 5e-324 F
+    # capacitor beside a 1.7e308 ohm resistor); that is reported below.
+    with np.errstate(over="ignore", invalid="ignore"):
+        r_unit = assemble(unit[:n_z], unit[n_z:])
+        z_unit = advance(unit[:n_z], _solve(G, r_unit, _SINGULAR))
+    if not (np.all(np.isfinite(r_unit)) and np.all(np.isfinite(z_unit))):
+        rlc = np.concatenate([index[Resistor], cap_idx, ind_idx])
+        lo, hi = rlc[np.argmin(np.abs(g[rlc]))], rlc[np.argmax(np.abs(g[rlc]))]
+        raise SimulationError(
+            f"the step map (M, N, Rz, Rs) overflowed for these element values "
+            f"at dt = {cfg.dt!r} s ({cfg.method}): companion conductances "
+            f"span {g[lo]:.3g} S (branch {net.branches[lo].id!r}) to "
+            f"{g[hi]:.3g} S (branch {net.branches[hi].id!r})")
     for array in (G, r_unit, z_unit, g, A, *index.values()):
         array.setflags(write=False)   # and so every slice taken below
     return CompiledStep(row, G, r_unit[:, :n_z], r_unit[:, n_z:], z_unit[:, :n_z],

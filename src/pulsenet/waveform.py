@@ -16,14 +16,32 @@ row, a line of only spaces or tabs, a trailing ``# note``, a row with
 other than two fields, and a field that is not a finite number
 (``nan``, ``inf``, ``1_0``, an empty field).  Spaces and tabs around a
 field are allowed, and so are CRLF line endings.
+
+The writer's contract: every field's bytes equal ``'%.17g' % x``, so
+files are the same whichever path formats them.  ``write_rows_csv``
+(which also writes the CLI's ``summary.csv`` and ``--emit-cdf`` files)
+formats blocks of 8192 rows with a numpy kernel.  Per value it finds
+the exact decimal exponent e, rounds |x| * 10**(16 - e) to the 17-digit
+integer D from a double-double product (Dekker 1971) with the powers
+of ten as (hi, lo) pairs from exact integers, and lays D out by the
+``%g`` rules: fixed notation for exponents -4 to 16, ``d.ddde±XX``
+otherwise, trailing zeros and a bare point dropped, ``-0`` for -0.0.
+A rounding tie is decided to even where 10**(16 - e) is a double.  The
+kernel leaves a whole block to ``%`` when the block holds a value that
+is neither zero nor within 1e-280 <= |x| < 1e280 (subnormals, the ends
+of the range, inf, nan), or one whose scaled fraction lies within 1e-9
+of 1/2 while 10**(16 - e) is not a double; the product is within 1e-14
+of exact there.  Its tables are built on the first write, not at import.
 """
 
 from __future__ import annotations
 
+import functools
 import itertools
 import math
 from dataclasses import dataclass
 from pathlib import Path
+from types import SimpleNamespace
 from typing import Iterator
 
 import numpy as np
@@ -143,9 +161,212 @@ def write_waveform_csv(path, wave: Waveform) -> None:
         lines.append(f"# unit = {wave.unit}")
     lines.append(f"# dt = {wave.dt:.17g}")
     lines.append("time_s,value")
-    rows = np.column_stack((wave.times(), wave.samples))
-    body = ("%.17g,%.17g\n" * len(wave)) % tuple(rows.ravel().tolist())
-    Path(path).write_text("\n".join(lines) + "\n" + body, encoding="ascii")
+    write_rows_csv(path, lines, np.column_stack((wave.times(), wave.samples)))
+
+
+def write_rows_csv(path, header, rows: np.ndarray) -> None:
+    """Write the ``header`` lines, then each row of the 2-D float array
+    ``rows`` as its fields in ``%.17g``, comma-separated, one per line.
+
+    Every field's bytes equal ``'%.17g' % x``; the module docstring says
+    how the rows are formatted.
+    """
+    rows = np.asarray(rows, dtype=np.float64)
+    head = "".join(line + "\n" for line in header).encode("ascii")
+    with open(path, "wb") as fh:
+        fh.write(head)
+        for a in range(0, len(rows), _BLOCK_ROWS):
+            block = rows[a:a + _BLOCK_ROWS]
+            out = _kernel_rows(block)
+            fh.write(_percent_rows(block) if out is None else out)
+
+
+#: Rows formatted per call of the kernel (and per write).
+_BLOCK_ROWS = 8192
+
+#: The kernel formats zero and every |x| in [1e-280, 1e280); there the
+#: powers of ten, their splits and every partial product stay normal.
+_KERNEL_MIN, _KERNEL_MAX = 1e-280, 1e280
+
+#: A block goes to ``%`` when the fraction of some x * 10**p lies this
+#: close to 1/2 and 10**p is not a double.  The double-double product
+#: is within 1e-14 of x * 10**p.
+_TIE_MARGIN = 1e-9
+
+#: Exponents k of the table of 10**k: 10**e for the exponent check
+#: (e in [-281, 280]) and 10**p for the scaling (p = 16 - e).
+_POW_MIN, _POW_MAX = -281, 297
+
+#: Veltkamp's splitter 2**27 + 1: x*S - (x*S - x) keeps x's top 26 bits.
+_SPLIT = 134217729.0
+
+#: Byte slots of one field: sign, the "0.000" of a fixed field below 1,
+#: 17 digits with a point slot after each of the first 16, then "e+ddd"
+#: and the separator.  A field is the slots that its mask keeps.
+_SIGN, _LEAD, _DIGIT, _EXP, _SEP = 0, 1, 6, 39, 44
+_SLOTS = 45
+_TEMPLATE = b"-0.000" + b"0." * 16 + b"0" + b"e+000" + b","
+
+#: Layouts: fixed notation for the exponent X = -4 ... 16 (layout X + 4),
+#: then d.ddde±XX and d.ddde±XXX.
+_FIXED_LAYOUTS = 21
+
+
+@functools.cache
+def _tables() -> SimpleNamespace:
+    """The kernel's tables, built on first use from exact integers.
+
+    ``hi`` and ``lo``: 10**k rounded and 10**k - hi rounded, at index
+    k - _POW_MIN, and ``hi_top`` + ``hi_bottom``, hi split by _SPLIT.
+    ``digits``: the ASCII of 0000 ... 9999, one uint32 each.  ``last``
+    at j * 10000 + g (``group_rows`` holds the j * 10000): see below.
+    ``exponents``: the ASCII of 000 ... 309.  ``masks`` at
+    [layout * 17 + sig - 1, slot]: the slot is kept.  ``template``: the
+    bytes of _TEMPLATE.
+    """
+    hi, lo = [], []
+    ten_k = 10 ** -_POW_MIN   # 10**|k|
+    for k in range(_POW_MIN, _POW_MAX + 1):
+        h = float(f"1e{k}")   # correctly rounded, as every float() is
+        if k < 0:
+            # h = num / den with den a power of two, so 10**k - h is
+            # (den - num * 10**|k|) / 10**|k| scaled by 1/den.
+            num, den = h.as_integer_ratio()
+            lo.append(math.ldexp((den - num * ten_k) / ten_k,
+                                 1 - den.bit_length()))
+            ten_k //= 10
+        else:
+            lo.append(float(ten_k - int(h)))
+            ten_k *= 10
+        hi.append(h)
+    hi = np.array(hi)
+    t = hi * _SPLIT
+    hi_top = t - (t - hi)
+
+    # The digits of 0000 ... 9999, thousands first.
+    groups = np.indices((10, 10, 10, 10), dtype=np.uint8).reshape(4, -1).T
+    digits = np.ascontiguousarray(groups + ord("0")).view(np.uint32).ravel()
+    # Digits 4j+1 ... 4j+4 of D (after its first) are group j = 0 ... 3;
+    # ``last`` is where group g's last nonzero digit stands in D when g
+    # is group j, counted from 0 at D's first digit, and 0 for g = 0000.
+    z = groups == 0
+    trailing = z[:, 3] * (1 + z[:, 2] * (1 + z[:, 1] * (1 + z[:, 0] * 1)))
+    last = np.where(trailing == 4, 0, np.arange(4)[:, None] * 4 + 4 - trailing)
+
+    layout = np.arange(_FIXED_LAYOUTS + 2)[:, None, None]
+    x = layout - 4
+    fixed = layout < _FIXED_LAYOUTS
+    sig = np.arange(1, 18)[None, :, None]
+    slot = np.arange(_SLOTS)[None, None, :]
+    d = (slot - _DIGIT) // 2          # the digit at or before the slot
+    in_digits = (slot >= _DIGIT) & (slot < _EXP)
+    at_digit = in_digits & ((slot - _DIGIT) % 2 == 0)
+    at_point = in_digits & ((slot - _DIGIT) % 2 == 1)
+    shown = np.where(fixed & (x >= 0), np.maximum(sig, x + 1), sig)
+    mask = ((at_digit & (d < shown))
+            | (at_point & (sig > d + 1) & np.where(fixed, x == d, d == 0))
+            | (fixed & (x < 0) & (slot >= _LEAD) & (slot < _LEAD + 1 - x))
+            | (~fixed & (slot >= _EXP) & (slot < _SEP)
+               & ((slot != _EXP + 2) | (layout == _FIXED_LAYOUTS + 1)))
+            | (slot == _SEP))
+    return SimpleNamespace(
+        hi=hi, lo=np.array(lo), hi_top=hi_top, hi_bottom=hi - hi_top,
+        digits=digits, last=last.astype(np.uint8).ravel(),
+        group_rows=np.arange(4) * 10000,
+        exponents=groups[:310, 1:] + np.uint8(ord("0")),
+        masks=mask.reshape(-1, _SLOTS),
+        template=np.frombuffer(_TEMPLATE, dtype=np.uint8))
+
+
+def _kernel_rows(block: np.ndarray) -> np.ndarray | None:
+    """``block``'s rows as the bytes (uint8) of ``%.17g`` CSV lines, or
+    None when a value lies outside the kernel's range or next to a
+    rounding tie that the kernel cannot decide.
+
+    Per value: the decimal exponent e, D = round(|x| * 10**(16 - e)) in
+    [1e16, 1e17] from a double-double product (Dekker 1971), the digits
+    of D, and the field laid out by the ``%g`` rules in fixed byte
+    slots, of which one ``np.compress`` keeps the field's own."""
+    tab = _tables()
+    x = block.ravel()
+    a = np.abs(x)
+    zero = a == 0.0
+    if not np.all(((a >= _KERNEL_MIN) & (a < _KERNEL_MAX)) | zero):
+        return None
+    a[zero] = 1.0
+    hi, lo = tab.hi, tab.lo
+
+    # e = floor(log10 a), made exact by comparing a with 10**e and
+    # 10**(e+1) as (hi, lo): log10 may round across an integer.  ie and
+    # ip index 10**e and 10**p, p = 16 - e, in the tables.
+    ie = np.floor(np.log10(a)).astype(np.int64) - _POW_MIN
+    h = hi[ie]
+    ie -= (a < h) | ((a == h) & (lo[ie] > 0.0))
+    h = hi[ie + 1]
+    ie += (a > h) | ((a == h) & (lo[ie + 1] <= 0.0))
+    ip = 16 - 2 * _POW_MIN - ie
+
+    # y = a * 10**p in [1e16, 1e17) as prod + c: prod is the rounded
+    # product (an integer, as y > 2**53) and c the rest.
+    prod = a * hi[ip]
+    t = a * _SPLIT
+    a_top = t - (t - a)
+    a_bottom = a - a_top
+    h_top, h_bottom = tab.hi_top[ip], tab.hi_bottom[ip]
+    c = ((((a_top * h_top - prod) + a_top * h_bottom) + a_bottom * h_top)
+         + a_bottom * h_bottom) + a * lo[ip]
+    whole = np.floor(c)
+    frac = c - whole
+    # Where 10**p is a double (lo = 0), c is exact and so is a tie,
+    # which rounds to even as ``%`` does.
+    if np.any((np.abs(frac - 0.5) < _TIE_MARGIN) & (lo[ip] != 0.0)):
+        return None
+    D = prod.astype(np.int64) + whole.astype(np.int64)
+    D += (frac > 0.5) | ((frac == 0.5) & (D & 1 == 1))
+    carry = D == 10 ** 17
+    D[carry] = 10 ** 16
+    X = ie + _POW_MIN + carry     # the exponent of the field
+    D[zero] = 0
+    X[zero] = 0
+
+    # The 17 digits: the first, then four 4-digit groups by table, and
+    # sig, the count of digits up to the last nonzero one.  (The
+    # remainders are taken by subtraction: int64 % is slow.)
+    first = D // 10 ** 16
+    rest = D - first * 10 ** 16
+    top = rest // 10 ** 8
+    bottom = rest - top * 10 ** 8
+    groups = np.empty((len(D), 4), dtype=np.int64)
+    groups[:, 0] = top // 10 ** 4
+    groups[:, 1] = top - groups[:, 0] * 10 ** 4
+    groups[:, 2] = bottom // 10 ** 4
+    groups[:, 3] = bottom - groups[:, 2] * 10 ** 4
+    last = tab.last.take(groups + tab.group_rows)
+    sig = 1 + np.maximum(np.maximum(last[:, 0], last[:, 1]),
+                         np.maximum(last[:, 2], last[:, 3]))
+
+    ax = np.abs(X)
+    layout = np.where((X >= -4) & (X <= 16), X + 4,
+                      _FIXED_LAYOUTS + (ax >= 100))
+    mask = tab.masks.take(layout * 17 + sig - 1, axis=0)
+    mask[:, _SIGN] = np.signbit(x)
+
+    buf = np.empty((len(x), _SLOTS), dtype=np.uint8)
+    buf[:] = tab.template
+    buf[:, _DIGIT] = first + ord("0")
+    buf[:, _DIGIT + 2:_EXP:2] = tab.digits[groups].view(np.uint8)
+    buf[:, _EXP + 1] = np.where(X < 0, ord("-"), ord("+"))
+    buf[:, _EXP + 2:_SEP] = tab.exponents.take(ax, axis=0)
+    buf = buf.reshape(block.shape + (_SLOTS,))
+    buf[:, -1, _SEP] = ord("\n")
+    return np.compress(mask.ravel(), buf.ravel())
+
+
+def _percent_rows(block: np.ndarray) -> bytes:
+    """``block``'s rows formatted by ``%``, value by value."""
+    rows, cols = block.shape
+    line = ",".join(["%.17g"] * cols) + "\n"
+    return ((line * rows) % tuple(block.ravel().tolist())).encode("ascii")
 
 
 #: The bulk parse of the data rows: comma-separated float64 fields and

@@ -187,11 +187,14 @@ def package_env():
 
 @pytest.mark.parametrize("module", ["pulsenet", "pulsenet.cli"])
 def test_import_loads_no_scipy(module):
-    code = (f"import sys, {module}; "
-            "print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))")
+    """Importing loads no scipy and builds none of the CSV writer's
+    tables: both would be paid by every command, writing or not."""
+    code = (f"import sys, {module}, pulsenet.waveform as w; "
+            "print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'), "
+            "w._tables.cache_info().currsize)")
     out = subprocess.run([sys.executable, "-c", code], env=package_env(),
                          check=True, capture_output=True, text=True).stdout
-    assert out.strip() == "[]"
+    assert out.strip() == "[] 0"
 
 
 def test_compare_reports_the_shift(tmp_path, capsys):

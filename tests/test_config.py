@@ -1,14 +1,17 @@
 """Quantity parsing and config schema validation."""
 
+from decimal import Context, Decimal, localcontext
 from pathlib import Path
 
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from pulsenet import ConfigError, LaserCircuit
-from pulsenet.config import (Key, LASER_PHYSICS_KEYS, SIMULATE_KEYS,
-                             SWEEP_KEYS, driver_kwargs_from,
-                             laser_circuit_from, load_config,
-                             parse_config_text, parse_quantity,
+from pulsenet.config import (Key, LASER_PHYSICS_KEYS, SI_PREFIXES,
+                             SIMULATE_KEYS, SWEEP_KEYS, UNITS,
+                             driver_kwargs_from, laser_circuit_from,
+                             load_config, parse_config_text, parse_quantity,
                              sweep_values_from)
 
 CONFIGS = Path(__file__).parent.parent / "configs"
@@ -37,6 +40,32 @@ def test_parse_quantity_table(text, value, unit):
     got_value, got_unit = parse_quantity(text)
     assert got_value == value
     assert got_unit == unit
+
+
+@st.composite
+def quantities(draw):
+    """(text, number, SI exponent, unit) of a quantity as configs write it."""
+    digits = draw(st.text("0123456789", min_size=1, max_size=40))
+    point = draw(st.none() | st.integers(0, len(digits)))
+    number = draw(st.sampled_from(["", "+", "-"])) + (
+        digits if point is None else f"{digits[:point]}.{digits[point:]}")
+    if draw(st.booleans()):
+        number += draw(st.sampled_from("eE")) + str(draw(st.integers(-330, 330)))
+    prefix = draw(st.sampled_from(["", *SI_PREFIXES]))
+    unit = draw(st.sampled_from(UNITS)) if prefix or draw(st.booleans()) else ""
+    return number + prefix + unit, number, SI_PREFIXES.get(prefix, 0), unit
+
+
+@settings(max_examples=500, deadline=None)
+@given(quantities())
+# 28 digits would round this to 2**53 + 1, a tie, before float() does.
+@example(("9007199254740.99300000000000000001kA",
+          "9007199254740.99300000000000000001", 3, "A"))
+def test_parse_quantity_agrees_with_decimal_arithmetic(quantity):
+    text, number, shift, unit = quantity
+    with localcontext(Context(prec=100)):
+        exact = float(Decimal(number).scaleb(shift))
+    assert parse_quantity(text) == (exact, "ohm" if unit == "Ω" else unit)
 
 
 def test_parse_quantity_aliases():

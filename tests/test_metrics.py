@@ -4,6 +4,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from pulsenet import (MetricsError, Waveform, baseline_subtract, delay_at_level,
                       fwhm, normalize_align)
@@ -278,3 +280,36 @@ def test_normalize_align_on_mismatched_grids():
     a, b = normalize_align(first, second)
     assert a.dt == first.dt and b.dt == first.dt
     assert float(np.max(np.abs(a.samples - b.samples))) <= 1e-4
+
+
+#: A pulse of random samples in [0, 1] around a single peak of 2, with a
+#: zero at each end so that both half-maximum crossings exist.
+_pulses = st.lists(st.floats(0.0, 1.0), min_size=1, max_size=60).flatmap(
+    lambda body: st.integers(0, len(body) - 1).map(
+        lambda k: np.array([0.0, *body[:k], 2.0, *body[k + 1:], 0.0])))
+
+
+@settings(max_examples=300, deadline=None)
+@given(samples=_pulses, t0=st.floats(-1e-6, 1e-6), dt=st.floats(1e-13, 1e-9),
+       shift=st.floats(-1e-6, 1e-6))
+def test_fwhm_does_not_change_under_a_time_shift(samples, t0, dt, shift):
+    ref = fwhm(Waveform(t0, dt, samples))
+    got = fwhm(Waveform(t0 + shift, dt, samples))
+    assert got.fwhm == ref.fwhm
+    assert got.peak == ref.peak
+    # the times move with the shift, to the rounding of t0 + k*dt
+    tol = 8 * np.finfo(float).eps * (abs(t0) + abs(shift) + len(samples) * dt)
+    assert got.t_peak == pytest.approx(ref.t_peak + shift, rel=0, abs=tol)
+    for a, b in zip(got.half_crossings, ref.half_crossings):
+        assert a == pytest.approx(b + shift, rel=0, abs=tol)
+
+
+@settings(max_examples=300, deadline=None)
+@given(samples=_pulses, dt=st.floats(1e-13, 1e-9), scale=st.floats(1e-6, 1e6))
+def test_fwhm_does_not_change_under_an_amplitude_scale(samples, dt, scale):
+    ref = fwhm(Waveform(0.0, dt, samples))
+    got = fwhm(Waveform(0.0, dt, scale * samples))
+    assert got.peak == scale * ref.peak
+    assert got.t_peak == ref.t_peak
+    # the crossings are interpolated: each index moves by rounding only
+    assert got.fwhm == pytest.approx(ref.fwhm, rel=0, abs=1e-12 * dt * len(samples))

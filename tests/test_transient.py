@@ -1,13 +1,15 @@
 """Companion-model transient analysis against closed-form circuits."""
 
+import itertools
 import math
+import warnings
 
 import numpy as np
 import pytest
 
 from pulsenet import (Branch, Capacitor, CurrentSource, InitialCondition,
                       Inductor, Network, Resistor, SimConfig, SimulationError,
-                      VoltageSource, dc_operating_point, transient)
+                      VoltageSource, compile_step, dc_operating_point, transient)
 
 
 def rc_network(volts=1.0, ohms=1e3, farads=1e-9):
@@ -293,6 +295,58 @@ def test_singular_systems_are_reported():
         transient(cutset, cfg)
     with pytest.raises(SimulationError, match="singular"):
         dc_operating_point(cutset)
+
+
+def vrlci_network(ohms, henries, farads):
+    return Network.from_branches([
+        Branch("V", "a", "0", VoltageSource(1.0)),
+        Branch("R", "a", "b", Resistor(ohms)),
+        Branch("L", "b", "c", Inductor(henries)),
+        Branch("C", "c", "0", Capacitor(farads)),
+        Branch("I", "0", "c", CurrentSource(1e-3)),
+    ], reference="0")
+
+
+def test_overflowing_step_map_is_reported_by_compile_step():
+    # G is finite, but the unit responses of the step are not.
+    net = vrlci_network(1.7e308, 1.0, 5e-324)
+    cfg = SimConfig(t_end=1e-9, dt=1e-10)
+    with pytest.raises(SimulationError,
+                       match=r"step map \(M, N, Rz, Rs\) overflowed for these "
+                             r"element values.*branch 'C'.*branch 'L'"):
+        compile_step(net, cfg)
+    with pytest.raises(SimulationError, match="overflowed"):
+        transient(net, cfg)
+
+
+EDGE_VALUES = (5e-324, 1e-300, 1e-9, 1.0, 1e300, 1.7e308)
+
+
+@pytest.mark.parametrize("method", ["trapezoidal", "backward-euler"])
+def test_edge_element_values_fail_loudly_or_run(method):
+    """Every V-R-L-C-I network with a 1.7e308 ohm resistor or a 5e-324 F
+    capacitor either gives finite step maps or a SimulationError, without
+    a warning, and its run ends in a record or a SimulationError."""
+    cfg = SimConfig(t_end=1e-9, dt=1e-10, method=method)
+    overflowed = 0
+    for ohms, henries, farads in itertools.product(EDGE_VALUES, repeat=3):
+        if ohms != 1.7e308 and farads != 5e-324:
+            continue
+        net = vrlci_network(ohms, henries, farads)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            try:
+                step = compile_step(net, cfg)
+            except SimulationError as exc:
+                overflowed += "overflowed" in str(exc)
+                continue
+            for name in ("M", "N", "Rz", "Rs"):
+                assert np.all(np.isfinite(getattr(step, name))), name
+            try:
+                transient(net, cfg)
+            except SimulationError:
+                pass
+    assert overflowed > 0
 
 
 def test_initial_condition_validation():

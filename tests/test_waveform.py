@@ -2,8 +2,11 @@
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from pulsenet import Waveform, WaveformError, read_waveform_csv, write_waveform_csv
+from pulsenet import waveform
 
 
 def test_basic_properties():
@@ -81,6 +84,12 @@ def test_csv_round_trip_is_bit_exact(tmp_path):
     assert (tmp_path / "again.csv").read_bytes() == path.read_bytes()
 
 
+def per_row_lines(rows):
+    """The rows of a 2-D array as CSV lines, formatted one value at a time."""
+    return "".join(",".join(f"{x:.17g}" for x in row) + "\n"
+                   for row in np.asarray(rows).tolist()).encode("ascii")
+
+
 def per_row_csv(wave):
     """The waveform file as formatted one row at a time."""
     lines = ["# pulsenet waveform v1"]
@@ -88,10 +97,27 @@ def per_row_csv(wave):
         lines.append(f"# unit = {wave.unit}")
     lines.append(f"# dt = {wave.dt:.17g}")
     lines.append("time_s,value")
-    times = wave.times()
-    lines.extend(f"{times[k]:.17g},{wave.samples[k]:.17g}"
-                 for k in range(len(wave)))
-    return ("\n".join(lines) + "\n").encode("ascii")
+    head = "".join(line + "\n" for line in lines).encode("ascii")
+    return head + per_row_lines(np.column_stack((wave.times(), wave.samples)))
+
+
+def kernel_lines(rows):
+    """``rows`` formatted by the writer's kernel, one block at a time,
+    and the number of blocks it left to ``%``."""
+    parts, declined = [], 0
+    for a in range(0, len(rows), waveform._BLOCK_ROWS):
+        block = rows[a:a + waveform._BLOCK_ROWS]
+        out = waveform._kernel_rows(block)
+        declined += out is None
+        parts.append(per_row_lines(block) if out is None else out.tobytes())
+    return b"".join(parts), declined
+
+
+#: Values at the edges of the 17-digit layouts: the fixed/exponent
+#: switch at 1e-4 and 1e17, 2**53, and a carry to the next power of ten.
+BOUNDARY = [9.9999999999999995e-5, 1e-4, 2.0 ** 53, 1e16,
+            99999999999999999.0, 1e17, -0.0, 0.0, 5e-324, -2.2e-310,
+            1.7e308, -1.7e308, 1.0 + 2.0 ** -17, 3 * 2.0 ** -24]
 
 
 @pytest.mark.parametrize("unit", ["A", ""])
@@ -109,6 +135,98 @@ def test_csv_writer_matches_the_per_row_formatter(tmp_path, seed, unit):
     assert path.read_bytes() == per_row_csv(w)
     assert np.signbit(read_waveform_csv(path).samples).tolist() == \
         np.signbit(samples).tolist()
+
+
+@settings(max_examples=300, deadline=None)
+@given(samples=st.lists(st.floats(allow_nan=False, allow_infinity=False)
+                        | st.sampled_from(BOUNDARY), min_size=2, max_size=40),
+       t0=st.floats(-1e-3, 1e-3), dt=st.floats(1e-15, 1e-3))
+@example(samples=BOUNDARY, t0=0.0, dt=1e-12)
+def test_writer_matches_the_per_row_formatter_on_any_finite_doubles(
+        tmp_path_factory, samples, t0, dt):
+    w = Waveform(t0, dt, samples, "V")
+    path = tmp_path_factory.mktemp("prop") / "wave.csv"
+    write_waveform_csv(path, w)
+    assert path.read_bytes() == per_row_csv(w)
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.lists(st.floats(1e-280, 1e280, exclude_max=True)
+                | st.sampled_from([0.0, -0.0]), min_size=2, max_size=40)
+       .map(lambda v: np.array(v[:len(v) // 2 * 2]).reshape(-1, 2)),
+       st.sampled_from([1.0, -1.0]))
+def test_kernel_formats_its_range_by_the_per_row_rules(rows, sign):
+    out = waveform._kernel_rows(sign * rows)
+    # None only beside a rounding tie that needs 10**p as a double-double
+    assert out is None or out.tobytes() == per_row_lines(sign * rows)
+
+
+def test_kernel_matches_the_per_row_formatter_on_random_bit_patterns():
+    rng = np.random.default_rng(2024)
+    bits = rng.integers(0, 2 ** 64, size=1_200_000, dtype=np.uint64)
+    values = bits.view(np.float64)
+    size = np.abs(values)
+    inside = values[(size >= waveform._KERNEL_MIN) & (size < waveform._KERNEL_MAX)]
+    assert len(inside) > 1_000_000
+    rows = inside[:len(inside) // 2 * 2].reshape(-1, 2)
+    text, declined = kernel_lines(rows)
+    assert text == per_row_lines(rows)
+    assert declined <= 1
+    # The kernel declines the rest (subnormals, the ends of the range,
+    # inf and nan), which leaves their blocks to %.
+    rest = values[~((size >= waveform._KERNEL_MIN) & (size < waveform._KERNEL_MAX))]
+    rows = rest[:len(rest) // 2 * 2].reshape(-1, 2)
+    assert all(waveform._kernel_rows(rows[a:a + 100]) is None
+               for a in range(0, len(rows), 100))
+
+
+def test_kernel_matches_the_per_row_formatter_on_powers_of_ten(tmp_path):
+    powers = np.array([float(f"1e{k}") for k in range(-320, 309)])
+    values = np.concatenate([powers, np.nextafter(powers, 0.0),
+                             np.nextafter(powers, np.inf), -powers])
+    size = np.abs(values)
+    inside = values[(size >= waveform._KERNEL_MIN) & (size < waveform._KERNEL_MAX)]
+    text, declined = kernel_lines(inside.reshape(-1, 2))
+    assert declined == 0
+    assert text == per_row_lines(inside.reshape(-1, 2))
+    w = Waveform(0.0, 1e-12, values, "A")
+    write_waveform_csv(tmp_path / "powers.csv", w)
+    assert (tmp_path / "powers.csv").read_bytes() == per_row_csv(w)
+
+
+def test_all_zero_waveform_is_written_by_the_kernel(tmp_path):
+    w = Waveform(0.0, 1e-12, np.r_[np.zeros(5), -np.zeros(5)])
+    rows = np.column_stack((w.times(), w.samples))
+    assert waveform._kernel_rows(rows).tobytes() == per_row_lines(rows)
+    write_waveform_csv(tmp_path / "zero.csv", w)
+    assert (tmp_path / "zero.csv").read_bytes() == per_row_csv(w)
+    assert b"\n0,0\n" in per_row_csv(w) and b",-0\n" in per_row_csv(w)
+
+
+@pytest.mark.parametrize("value", [5e-324, 1e280, -1e-281, 3 * 2.0 ** -24])
+def test_block_outside_the_kernel_is_formatted_by_percent(tmp_path, value):
+    """A subnormal, a value beyond the range, or a rounding tie where
+    10**p is a double-double sends its whole block to ``%``; the blocks
+    around it still go through the kernel."""
+    n = 2 * waveform._BLOCK_ROWS + 10
+    samples = np.linspace(-1.0, 1.0, n) * 1e-3
+    samples[waveform._BLOCK_ROWS + 3] = value
+    w = Waveform(0.0, 1e-12, samples, "A")
+    rows = np.column_stack((w.times(), w.samples))
+    blocks = [rows[a:a + waveform._BLOCK_ROWS]
+              for a in range(0, n, waveform._BLOCK_ROWS)]
+    assert [waveform._kernel_rows(b) is None for b in blocks] == [False, True, False]
+    write_waveform_csv(tmp_path / "mixed.csv", w)
+    assert (tmp_path / "mixed.csv").read_bytes() == per_row_csv(w)
+
+
+def test_exact_ties_round_to_even_in_the_kernel():
+    # 1 + 2**-17 is 1.00000762939453125: its 17-digit rounding is a tie,
+    # decided exactly since 10**16 is a double.
+    rows = np.array([[1.0 + 2.0 ** -17, -(1.0 + 3 * 2.0 ** -17)]])
+    assert waveform._kernel_rows(rows).tobytes() == \
+        b"1.0000076293945312,-1.0000228881835938\n"
+    assert per_row_lines(rows) == b"1.0000076293945312,-1.0000228881835938\n"
 
 
 def test_reader_accepts_headerless_files(tmp_path):
