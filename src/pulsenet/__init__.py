@@ -23,8 +23,8 @@ from .driver import (BiasTee, OutputFilter, StimulusSpec, driver_network,
                      stimulus)
 from .simulate import (CompiledStep, InitialCondition, SimConfig, SimResult,
                        SweepPoint, compile_step, dc_operating_point,
-                       detector_filter, run_driver, sense_current, sweep_runs,
-                       transient)
+                       detector_filter, drive_point, run_driver,
+                       sense_current, sweep_runs, transient)
 from .topology import (Branch, CycleBasis, Network, boundary,
                        connected_components, cycle_rank, cycle_space,
                        in_cycle_space, kcl_residual)
@@ -44,7 +44,8 @@ __all__ = [
     "baseline_subtract", "boundary", "circuit_from_physics", "compile_step",
     "connected_components", "cycle_rank", "cycle_space",
     "dc_operating_point", "delay_at_level", "detector_filter",
-    "differential_resistance", "driver_network", "ecdf", "emit_netlist",
+    "differential_resistance", "drive_point", "driver_network", "ecdf",
+    "emit_netlist",
     "equivalent_network", "fwhm", "in_cycle_space", "kcl_residual",
     "kolmogorov_q", "ks_two_sample", "normalize_align", "parse_netlist",
     "physics_from_circuit", "read_netlist", "read_waveform_csv",

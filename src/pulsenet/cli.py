@@ -12,6 +12,7 @@ from __future__ import annotations
 
 import argparse
 import sys
+from dataclasses import asdict, astuple, fields
 from pathlib import Path
 
 import numpy as np
@@ -59,13 +60,10 @@ def _cmd_laser_params(args) -> int:
     phys = cfgmod.laser_physics_from(cfg)
     circ = laser.circuit_from_physics(phys)
     rd = laser.differential_resistance(phys.temperature, phys.bias_current)
+    keys = cfgmod.LASER_CIRCUIT_KEYS
     _print_kv([
         ("R_d", f"{rd:.9g} ohm"),
-        ("R", f"{circ.R:.9g} ohm"),
-        ("L", f"{circ.L:.9g} H"),
-        ("C", f"{circ.C:.9g} F"),
-        ("R_spon", f"{circ.R_spon:.9g} ohm"),
-        ("R_o", f"{circ.R_o:.9g} ohm"),
+        *((k, f"{v:.9g} {keys[k].unit}") for k, v in asdict(circ).items()),
         ("series resistance", f"{circ.series_resistance:.9g} ohm"),
     ])
     return 0
@@ -156,17 +154,14 @@ def _cmd_simulate(args) -> int:
                            x_label="time [ns]", y_label="current [mA]")
         print(f"wrote {args.plot}")
 
-    rest = sense.with_samples(sense.samples - spec.bias)
     try:
-        m = metrics.fwhm(rest if spec.amplitude > 0
-                         else rest.with_samples(-rest.samples))
+        point = simulate.drive_point(spec, sense)
     except metrics.MetricsError as exc:
         print(f"pulse metrics unavailable: {exc}")
     else:
-        peak = spec.bias + m.peak if spec.amplitude > 0 else spec.bias - m.peak
         _print_kv([
-            ("peak current", f"{peak:.9g} A at {m.t_peak:.9g} s"),
-            ("fwhm", f"{m.fwhm:.9g} s"),
+            ("peak current", f"{point.peak:.9g} A at {point.t_peak:.9g} s"),
+            ("fwhm", f"{point.fwhm:.9g} s"),
             ("max KCL residual", f"{result.max_kcl_residual:.3g} A"),
         ])
     return 0
@@ -182,20 +177,18 @@ def _cmd_sweep(args) -> int:
 
     runs = simulate.sweep_runs(spec, circ, param, values, sim_cfg, **net_kwargs)
 
-    print(f"{param:>14}  {'peak':>14}  {'t_peak':>14}  {'fwhm':>14}  {'t_mid':>14}")
+    columns = [f.name for f in fields(simulate.SweepPoint)]
+    print("  ".join(f"{name:>14}" for name in [param, *columns[1:]]))
     for point, _ in runs:
-        print(f"{point.value:>14.9g}  {point.peak:>14.9g}  "
-              f"{point.t_peak:>14.9g}  {point.fwhm:>14.9g}  "
-              f"{point.t_mid:>14.9g}")
+        print("  ".join(f"{v:>14.9g}" for v in astuple(point)))
 
     if args.out_dir:
         out_dir = Path(args.out_dir)
         out_dir.mkdir(parents=True, exist_ok=True)
         for k, (_, sense) in enumerate(runs):
             write_waveform_csv(out_dir / f"run_{k:03d}.csv", sense)
-        write_rows_csv(out_dir / "summary.csv", ["value,peak,t_peak,fwhm,t_mid"],
-                       [(p.value, p.peak, p.t_peak, p.fwhm, p.t_mid)
-                        for p, _ in runs])
+        write_rows_csv(out_dir / "summary.csv", [",".join(columns)],
+                       [astuple(p) for p, _ in runs])
         print(f"wrote {len(runs)} runs to {out_dir}")
     return 0
 

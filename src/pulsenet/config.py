@@ -157,6 +157,18 @@ def load_config(path, schema: Mapping[str, Key]) -> dict[str, Any]:
 
 # --- schemas ---------------------------------------------------------------
 
+# The laser is given by one of two routes, as circuit element values or
+# as the physical operating point.  ``required`` marks what a route
+# needs; the circuit keys are LaserCircuit's fields, and the physics
+# keys come in the order of LaserPhysics's fields.
+_LASER_CIRCUIT: dict[str, Key] = {
+    "R": Key("ohm", required=True),
+    "L": Key("H", required=True),
+    "C": Key("F", required=True),
+    "R_spon": Key("ohm", required=True),
+    "R_o": Key("ohm", required=True),
+}
+
 LASER_PHYSICS_KEYS: dict[str, Key] = {
     "T": Key("K", default=300.0),
     "I_d": Key("A", required=True),
@@ -170,17 +182,12 @@ LASER_PHYSICS_KEYS: dict[str, Key] = {
     "threshold": Key("A"),
 }
 
+#: ``laser-params --invert``: the circuit, and the part of the
+#: operating point that the circuit values do not determine.
 LASER_CIRCUIT_KEYS: dict[str, Key] = {
-    "T": Key("K", default=300.0),
-    "I_d": Key("A", required=True),
-    "n_e": Key("", required=True),
-    "n_sat": Key("", required=True),
-    "R": Key("ohm", required=True),
-    "L": Key("H", required=True),
-    "C": Key("F", required=True),
-    "R_spon": Key("ohm", required=True),
-    "R_o": Key("ohm", required=True),
-    "threshold": Key("A"),
+    **{k: LASER_PHYSICS_KEYS[k] for k in ("T", "I_d", "n_e", "n_sat")},
+    **_LASER_CIRCUIT,
+    "threshold": LASER_PHYSICS_KEYS["threshold"],
 }
 
 _STIMULUS_KEYS: dict[str, Key] = {
@@ -209,22 +216,12 @@ _DRIVER_KEYS: dict[str, Key] = {
     "filter_C": Key("F"),
 }
 
-# The laser can be given either as circuit element values or as the
-# physical operating point; exactly one group must be present.
-_LASER_CIRCUIT_GROUP: dict[str, Key] = {
-    "R": Key("ohm"), "L": Key("H"), "C": Key("F"),
-    "R_spon": Key("ohm"), "R_o": Key("ohm"),
-}
-_LASER_PHYSICS_GROUP: dict[str, Key] = {
-    "T": Key("K"), "I_d": Key("A"), "n_photon": Key(""),
-    "tau_photon": Key("s"), "tau_spon": Key("s"), "beta": Key(""),
-    "n_e": Key(""), "n_sat": Key(""), "delta": Key(""),
-    "threshold": Key("A"),
-}
-
 SIMULATE_KEYS: dict[str, Key] = {
     **_STIMULUS_KEYS, **_SIM_KEYS, **_DRIVER_KEYS,
-    **_LASER_CIRCUIT_GROUP, **_LASER_PHYSICS_GROUP,
+    # Either laser route, every key optional and without a default
+    # (laser_physics_from supplies T's).
+    **{k: Key(key.unit) for k, key in {**_LASER_CIRCUIT,
+                                       **LASER_PHYSICS_KEYS}.items()},
 }
 
 SWEEP_KEYS: dict[str, Key] = {
@@ -237,52 +234,36 @@ SWEEP_KEYS: dict[str, Key] = {
 # --- builders: parsed dict -> domain objects --------------------------------
 
 def stimulus_spec_from(cfg: Mapping[str, Any]):
-    return StimulusSpec(bias=cfg["bias"], amplitude=cfg["amplitude"],
-                        width=cfg["width"], delay=cfg["delay"],
-                        edge=cfg["edge"], rate=cfg["rate"], shape=cfg["shape"])
+    return StimulusSpec(**{k: cfg[k] for k in _STIMULUS_KEYS})
 
 
 def laser_physics_from(cfg: Mapping[str, Any]):
-    return LaserPhysics(temperature=cfg.get("T", 300.0),
-                        bias_current=cfg["I_d"],
-                        n_photon=cfg["n_photon"],
-                        tau_photon=cfg["tau_photon"],
-                        tau_spon=cfg["tau_spon"],
-                        beta=cfg["beta"],
-                        n_e=cfg["n_e"],
-                        n_sat=cfg["n_sat"],
-                        delta_gain=cfg["delta"],
-                        threshold_current=cfg.get("threshold"))
+    return LaserPhysics(*(cfg[k] if key.required else cfg.get(k, key.default)
+                          for k, key in LASER_PHYSICS_KEYS.items()))
 
 
 def laser_circuit_from(cfg: Mapping[str, Any], source: str = "<config>"):
     """Laser element values from either config route (circuit or physics)."""
     has_circuit = "R" in cfg
     has_physics = "n_photon" in cfg
+    routes = (f"circuit values ({', '.join(_LASER_CIRCUIT)}) or the "
+              "physical operating point (n_photon, ...)")
     if has_circuit and has_physics:
-        raise ConfigError(
-            f"{source}: give either circuit values (R, L, C, R_spon, R_o) "
-            "or the physical operating point (n_photon, ...), not both")
+        raise ConfigError(f"{source}: give either {routes}, not both")
+    if not (has_circuit or has_physics):
+        raise ConfigError(f"{source}: no laser given; provide {routes}")
+    route, table = (("circuit", _LASER_CIRCUIT) if has_circuit
+                    else ("physics", LASER_PHYSICS_KEYS))
+    missing = [k for k, key in table.items() if key.required and k not in cfg]
+    if missing:
+        raise ConfigError(f"{source}: {route} route missing keys {missing}")
     if has_circuit:
-        missing = [k for k in ("L", "C", "R_spon", "R_o") if k not in cfg]
-        if missing:
-            raise ConfigError(f"{source}: circuit route missing keys {missing}")
-        return LaserCircuit(R=cfg["R"], L=cfg["L"], C=cfg["C"],
-                            R_spon=cfg["R_spon"], R_o=cfg["R_o"])
-    if has_physics:
-        missing = [k for k in ("I_d", "tau_photon", "tau_spon", "beta",
-                               "n_e", "n_sat", "delta") if k not in cfg]
-        if missing:
-            raise ConfigError(f"{source}: physics route missing keys {missing}")
-        return circuit_from_physics(laser_physics_from(cfg))
-    raise ConfigError(
-        f"{source}: no laser given; provide circuit values (R, L, C, "
-        "R_spon, R_o) or the physical operating point (n_photon, ...)")
+        return LaserCircuit(**{k: cfg[k] for k in _LASER_CIRCUIT})
+    return circuit_from_physics(laser_physics_from(cfg))
 
 
 def sim_config_from(cfg: Mapping[str, Any]):
-    return SimConfig(t_end=cfg["t_end"], dt=cfg["dt"],
-                     method=cfg["method"], solver_tol=cfg["solver_tol"])
+    return SimConfig(**{k: cfg[k] for k in _SIM_KEYS})
 
 
 def driver_kwargs_from(cfg: Mapping[str, Any], source: str = "<config>") -> dict:
@@ -306,8 +287,7 @@ def driver_kwargs_from(cfg: Mapping[str, Any], source: str = "<config>") -> dict
 def sweep_values_from(cfg: Mapping[str, Any], source: str = "<config>"
                       ) -> list[float]:
     """Comma-separated quantity list for the swept stimulus field."""
-    unit_by_param = {"amplitude": "A", "width": "s", "delay": "s"}
-    want = unit_by_param[cfg["sweep_param"]]
+    want = _STIMULUS_KEYS[cfg["sweep_param"]].unit
     values: list[float] = []
     for item in cfg["sweep_values"].split(","):
         item = item.strip()

@@ -22,24 +22,20 @@ from .errors import ConfigError, NetlistError
 from .topology import Branch, Network
 from .waveform import Waveform, read_waveform_csv, write_waveform_csv
 
-_UNIT_FOR = {"R": "ohm", "L": "H", "C": "F", "I": "A", "V": "V"}
-
-
-def _parse_value(kind: str, token: str, where: str) -> float:
-    try:
-        value, unit = parse_quantity(token)
-    except ConfigError as exc:
-        raise NetlistError(f"{where}: {exc}") from exc
-    want = _UNIT_FOR[kind]
-    if unit not in ("", want):
-        raise NetlistError(
-            f"{where}: {kind} value {token!r} has unit {unit!r}, expected "
-            f"{want!r} (or a bare SI number)")
-    return value
+#: Each element kind: its class, the unit of its value and the field
+#: that holds the value.
+_KINDS = {
+    "R": (Resistor, "ohm", "ohms"),
+    "L": (Inductor, "H", "henries"),
+    "C": (Capacitor, "F", "farads"),
+    "I": (CurrentSource, "A", "amps"),
+    "V": (VoltageSource, "V", "volts"),
+}
 
 
 def _element_from_spec(kind: str, token: str, base_dir: Path | None,
                        where: str) -> Element:
+    cls, want, _ = _KINDS[kind]
     if kind in ("I", "V") and token.startswith("file:"):
         ref = token[len("file:"):]
         if not ref:
@@ -47,18 +43,18 @@ def _element_from_spec(kind: str, token: str, base_dir: Path | None,
         path = Path(ref)
         if not path.is_absolute():
             path = (base_dir or Path.cwd()) / path
-        wave = read_waveform_csv(path)
-        return CurrentSource(wave) if kind == "I" else VoltageSource(wave)
-    value = _parse_value(kind, token, where)
-    if kind == "R":
+        return cls(read_waveform_csv(path))
+    try:
+        value, unit = parse_quantity(token)
+    except ConfigError as exc:
+        raise NetlistError(f"{where}: {exc}") from exc
+    if unit not in ("", want):
+        raise NetlistError(
+            f"{where}: {kind} value {token!r} has unit {unit!r}, expected "
+            f"{want!r} (or a bare SI number)")
+    if cls is Resistor:
         return Resistor(value, allow_negative=True)
-    if kind == "L":
-        return Inductor(value)
-    if kind == "C":
-        return Capacitor(value)
-    if kind == "I":
-        return CurrentSource(value)
-    return VoltageSource(value)
+    return cls(value)
 
 
 def parse_netlist(text: str, base_dir=None, source: str = "<netlist>",
@@ -79,10 +75,10 @@ def parse_netlist(text: str, base_dir=None, source: str = "<netlist>",
             raise NetlistError(
                 f"{where}: expected 'id start end kind value', got {raw!r}")
         branch_id, start, end, kind, token = parts
-        if kind not in _UNIT_FOR:
+        if kind not in _KINDS:
             raise NetlistError(
                 f"{where}: unknown element kind {kind!r}; "
-                f"one of {sorted(_UNIT_FOR)}")
+                f"one of {sorted(_KINDS)}")
         element = _element_from_spec(kind, token, base_dir, where)
         branches.append(Branch(branch_id, start, end, element))
     if not branches:
@@ -106,26 +102,22 @@ def read_netlist(path, reference: str | None = None) -> Network:
 
 def _spec_for(branch: Branch, waveform_dir: Path | None) -> str:
     el = branch.element
-    if isinstance(el, Resistor):
-        return f"R {el.ohms:.17g}"
-    if isinstance(el, Inductor):
-        return f"L {el.henries:.17g}"
-    if isinstance(el, Capacitor):
-        return f"C {el.farads:.17g}"
-    if isinstance(el, (CurrentSource, VoltageSource)):
-        kind = "I" if isinstance(el, CurrentSource) else "V"
-        value = el.amps if isinstance(el, CurrentSource) else el.volts
-        if isinstance(value, Waveform):
-            if waveform_dir is None:
-                raise NetlistError(
-                    f"branch {branch.id!r} carries a waveform source; "
-                    "emitting it needs a directory for the sidecar CSV")
-            name = f"{branch.id}.csv"
-            write_waveform_csv(waveform_dir / name, value)
-            return f"{kind} file:{name}"
-        return f"{kind} {value:.17g}"
-    raise NetlistError(
-        f"branch {branch.id!r}: cannot emit element {type(el).__name__}")
+    for kind, (cls, _, value_field) in _KINDS.items():
+        if isinstance(el, cls):
+            break
+    else:
+        raise NetlistError(
+            f"branch {branch.id!r}: cannot emit element {type(el).__name__}")
+    value = getattr(el, value_field)
+    if isinstance(value, Waveform):
+        if waveform_dir is None:
+            raise NetlistError(
+                f"branch {branch.id!r} carries a waveform source; "
+                "emitting it needs a directory for the sidecar CSV")
+        name = f"{branch.id}.csv"
+        write_waveform_csv(waveform_dir / name, value)
+        return f"{kind} file:{name}"
+    return f"{kind} {value:.17g}"
 
 
 def emit_netlist(net: Network, waveform_dir=None) -> str:
@@ -146,4 +138,4 @@ def write_netlist(net: Network, path) -> None:
     """Write the netlist (and any waveform sidecars) next to ``path``."""
     path = Path(path)
     path.write_text(emit_netlist(net, waveform_dir=path.parent),
-                    encoding="ascii")
+                    encoding="utf-8")

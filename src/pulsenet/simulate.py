@@ -166,8 +166,6 @@ class SimResult:
 def _solve(G: np.ndarray, rhs: np.ndarray, message: str) -> np.ndarray:
     """Solve G x = rhs by LU (LAPACK gesv), turning singularity into a
     SimulationError.  G is never inverted: its condition reaches 8e11."""
-    if not np.all(np.isfinite(G)):
-        raise SimulationError(message)
     try:
         return np.linalg.solve(G, rhs)
     except np.linalg.LinAlgError as exc:
@@ -211,17 +209,29 @@ def _assemble(net: Network, conductance: Callable[[Element], float | None]
 
         G = [[A diag(g) A^T, A_x], [A_x^T, 0]]
 
-    Returns the row map (the reference is -1), G, A and g.
+    Returns the row map (the reference is -1), G, A and g.  An element
+    value whose conductance is not finite, or conductances whose sum at a
+    node is not, is a SimulationError.
     """
     cond = [conductance(br.element) for br in net.branches]
     g = np.array([gk or 0.0 for gk in cond])
+    bad = np.flatnonzero(~np.isfinite(g))
+    if bad.size:
+        br = net.branches[bad[0]]
+        raise SimulationError(
+            f"branch {br.id!r}: {br.element!r} has conductance "
+            f"{g[bad[0]]:g} S, which is not finite; the element value is "
+            "out of range")
     keep = [k for k, label in enumerate(net.nodes) if label != net.reference]
     A = (-boundary(net).matrix[keep]).astype(np.float64)
     A_x = A[:, [k for k, gk in enumerate(cond) if gk is None]]
     n_v = len(keep)
     G = np.zeros((n_v + A_x.shape[1],) * 2)
-    with np.errstate(invalid="ignore"):   # 0 * inf; _solve rejects the NaN
+    with np.errstate(over="ignore"):
         G[:n_v, :n_v] = (A * g) @ A.T
+    if not np.all(np.isfinite(G)):
+        raise SimulationError(
+            "the branch conductances at a node sum past the float range")
     G[:n_v, n_v:] = A_x
     G[n_v:, :n_v] = A_x.T
     row = {net.nodes[k]: r for r, k in enumerate(keep)}
@@ -285,6 +295,19 @@ class CompiledStep:
     index: Mapping[type, np.ndarray]
 
 
+def _overflow(what: str, net: Network, cfg: SimConfig, g: np.ndarray,
+              index: Mapping[type, np.ndarray]) -> SimulationError:
+    """The error for ``what`` overflowing, naming the smallest and the
+    largest companion conductance, where the overflow comes from."""
+    rlc = np.concatenate([index[Resistor], index[Capacitor], index[Inductor]])
+    lo, hi = rlc[np.argmin(np.abs(g[rlc]))], rlc[np.argmax(np.abs(g[rlc]))]
+    return SimulationError(
+        f"{what} overflowed for these element values at dt = {cfg.dt!r} s "
+        f"({cfg.method}): companion conductances span {g[lo]:.3g} S "
+        f"(branch {net.branches[lo].id!r}) to {g[hi]:.3g} S "
+        f"(branch {net.branches[hi].id!r})")
+
+
 def compile_step(net: Network, cfg: SimConfig) -> CompiledStep:
     """Compile the step of ``net`` on the grid and method of ``cfg``.
 
@@ -340,13 +363,7 @@ def compile_step(net: Network, cfg: SimConfig) -> CompiledStep:
         r_unit = assemble(unit[:n_z], unit[n_z:])
         z_unit = advance(unit[:n_z], _solve(G, r_unit, _SINGULAR))
     if not (np.all(np.isfinite(r_unit)) and np.all(np.isfinite(z_unit))):
-        rlc = np.concatenate([index[Resistor], cap_idx, ind_idx])
-        lo, hi = rlc[np.argmin(np.abs(g[rlc]))], rlc[np.argmax(np.abs(g[rlc]))]
-        raise SimulationError(
-            f"the step map (M, N, Rz, Rs) overflowed for these element values "
-            f"at dt = {cfg.dt!r} s ({cfg.method}): companion conductances "
-            f"span {g[lo]:.3g} S (branch {net.branches[lo].id!r}) to "
-            f"{g[hi]:.3g} S (branch {net.branches[hi].id!r})")
+        raise _overflow("the step map (M, N, Rz, Rs)", net, cfg, g, index)
     for array in (G, r_unit, z_unit, g, A, *index.values()):
         array.setflags(write=False)   # and so every slice taken below
     return CompiledStep(row, G, r_unit[:, :n_z], r_unit[:, n_z:], z_unit[:, :n_z],
@@ -425,46 +442,52 @@ def transient(net: Network, cfg: SimConfig,
     for lo in (0, *range(1, steps + 1, _BLOCK)):
         hi = min(lo + _BLOCK, steps + 1) if lo else 1
         s = np.vstack([src[lo:hi] for src in sources])
-        if lo:
-            # The recurrence, one row of zs per step (zs[0] = z_{lo-1}),
-            # a chunk at a time; the drive is padded with zeros to whole
-            # chunks, which changes no step before the padding.
-            n = hi - lo
-            chunks = -(-n // K)
-            drive = np.zeros((chunks * K, n_z))
-            drive[:n] = (step.N @ s).T
-            free = drive.reshape(chunks, K * n_z) @ toeplitz
-            # Each chunk's start state is the previous start carried
-            # across a whole chunk plus that chunk's zero-start end.
-            starts = np.empty((chunks, n_z))
-            starts[0] = z
-            starts[1:] = free[:-1, (K - 1) * n_z:]
-            rows = list(starts)
-            buf = np.empty(n_z)
-            for prev, cur in zip(rows, rows[1:]):
-                np.dot(prev, jump, out=buf)
-                cur += buf
-            zs = np.empty((n + 1, n_z))
-            zs[0] = z
-            zs[1:] = (free + starts @ lift).reshape(chunks * K, n_z)[:n]
-            z = zs[-1].copy()
-            # The unknowns are solved from the assembled right-hand side,
-            # not through a composed map from (z, s): terms that cancel at
-            # a node (a bias current against its choke's current) then
-            # cancel before the solve scales them by 1/g of a small
-            # companion conductance, not after.
-            x = _solve(step.G, step.Rz @ zs[:-1].T + step.Rs @ s, _SINGULAR)
-            z_new = zs[1:].T
-        else:
-            x, z_new = x0[:, None], z[:, None]
-        u = A.T @ x[:n_v]
-        V_rec[:, lo:hi] = x[:n_v]
-        I = I_rec[:, lo:hi]
-        I[res_idx] = u[res_idx] * g_br[res_idx]
-        I[cap_idx] = z_new[cap_i_rows]
-        I[ind_idx] = z_new[ind_i_rows]
-        I[isrc_idx] = s[:n_i]
-        I[vsrc_idx] = x[n_v:]
+        # Finite maps can still step into overflow (a 1e-300 H inductor
+        # at dt = 0.1 ns); the block's record is checked instead.
+        with np.errstate(over="ignore", invalid="ignore"):
+            if lo:
+                # The recurrence, one row of zs per step (zs[0] = z_{lo-1}),
+                # a chunk at a time; the drive is padded with zeros to whole
+                # chunks, which changes no step before the padding.
+                n = hi - lo
+                chunks = -(-n // K)
+                drive = np.zeros((chunks * K, n_z))
+                drive[:n] = (step.N @ s).T
+                free = drive.reshape(chunks, K * n_z) @ toeplitz
+                # Each chunk's start state is the previous start carried
+                # across a whole chunk plus that chunk's zero-start end.
+                starts = np.empty((chunks, n_z))
+                starts[0] = z
+                starts[1:] = free[:-1, (K - 1) * n_z:]
+                rows = list(starts)
+                buf = np.empty(n_z)
+                for prev, cur in zip(rows, rows[1:]):
+                    np.dot(prev, jump, out=buf)
+                    cur += buf
+                zs = np.empty((n + 1, n_z))
+                zs[0] = z
+                zs[1:] = (free + starts @ lift).reshape(chunks * K, n_z)[:n]
+                z = zs[-1].copy()
+                # The unknowns are solved from the assembled right-hand side,
+                # not through a composed map from (z, s): terms that cancel at
+                # a node (a bias current against its choke's current) then
+                # cancel before the solve scales them by 1/g of a small
+                # companion conductance, not after.
+                x = _solve(step.G, step.Rz @ zs[:-1].T + step.Rs @ s, _SINGULAR)
+                z_new = zs[1:].T
+            else:
+                x, z_new = x0[:, None], z[:, None]
+            u = A.T @ x[:n_v]
+            V_rec[:, lo:hi] = x[:n_v]
+            I = I_rec[:, lo:hi]
+            I[res_idx] = u[res_idx] * g_br[res_idx]
+            I[cap_idx] = z_new[cap_i_rows]
+            I[ind_idx] = z_new[ind_i_rows]
+            I[isrc_idx] = s[:n_i]
+            I[vsrc_idx] = x[n_v:]
+        if not (np.all(np.isfinite(x)) and np.all(np.isfinite(I))):
+            raise _overflow(f"the run in steps {lo} to {hi - 1}", net, cfg,
+                            step.g, step.index)
 
         if lo:
             max_resid = max(max_resid, float(np.max(np.abs(D @ I))))
@@ -567,18 +590,16 @@ class SweepPoint:
     t_mid: float  # midpoint of the half-maximum crossings
 
 
-def _sweep_point(spec: StimulusSpec, circ: LaserCircuit, cfg: SimConfig,
-                 value: float, **net_kwargs) -> tuple[SweepPoint, Waveform]:
-    result = run_driver(spec, circ, cfg, **net_kwargs)
-    sense = sense_current(result)
-    rest = sense.with_samples(sense.samples - spec.bias)
-    m = fwhm(rest if spec.amplitude > 0
-             else rest.with_samples(-rest.samples))
-    peak = float(sense.samples[np.argmax(np.abs(sense.samples - spec.bias))])
-    point = SweepPoint(value=value, peak=peak, t_peak=m.t_peak, fwhm=m.fwhm,
-                       t_mid=0.5 * (m.half_crossings[0] + m.half_crossings[1]))
-    # A copy of the sense row, so that the run's whole record is freed.
-    return point, sense.with_samples(sense.samples.copy())
+def drive_point(spec: StimulusSpec, sense: Waveform,
+                value: float = math.nan) -> SweepPoint:
+    """The pulse of a driver run's sense current, measured from the bias
+    in the direction of the amplitude; ``value`` is the swept stimulus
+    value (NaN outside a sweep).  Raises MetricsError if unmeasurable."""
+    rest = sense.samples - spec.bias
+    m = fwhm(sense.with_samples(rest if spec.amplitude > 0 else -rest))
+    peak = float(sense.samples[np.argmax(np.abs(rest))])
+    return SweepPoint(value=value, peak=peak, t_peak=m.t_peak, fwhm=m.fwhm,
+                      t_mid=0.5 * (m.half_crossings[0] + m.half_crossings[1]))
 
 
 def sweep_runs(spec: StimulusSpec, circ: LaserCircuit, param: str,
@@ -594,8 +615,14 @@ def sweep_runs(spec: StimulusSpec, circ: LaserCircuit, param: str,
             f"unknown sweep parameter {param!r}; pick one of {SWEEP_PARAMS}")
     if not values:
         raise SimulationError("sweep needs at least one value")
-    return [_sweep_point(replace(spec, **{param: v}), circ, cfg, v, **net_kwargs)
-            for v in values]
+    runs = []
+    for v in values:
+        point_spec = replace(spec, **{param: v})
+        sense = sense_current(run_driver(point_spec, circ, cfg, **net_kwargs))
+        # A copy of the sense row, so that the run's whole record is freed.
+        sense = sense.with_samples(sense.samples.copy())
+        runs.append((drive_point(point_spec, sense, v), sense))
+    return runs
 
 
 def detector_filter(wave: Waveform, rise_time: float) -> Waveform:

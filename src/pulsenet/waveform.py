@@ -172,7 +172,7 @@ def write_rows_csv(path, header, rows: np.ndarray) -> None:
     how the rows are formatted.
     """
     rows = np.asarray(rows, dtype=np.float64)
-    head = "".join(line + "\n" for line in header).encode("ascii")
+    head = "".join(line + "\n" for line in header).encode("utf-8")
     with open(path, "wb") as fh:
         fh.write(head)
         for a in range(0, len(rows), _BLOCK_ROWS):

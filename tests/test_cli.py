@@ -218,6 +218,19 @@ def test_compare_reports_the_shift(tmp_path, capsys):
     assert nb.samples.max() == 1.0
 
 
+def test_compare_writes_a_non_ascii_unit(tmp_path, capsys):
+    # The reader takes UTF-8, so the writer must give it back: a unit
+    # read from a file is written into the aligned copies.
+    wave = gaussian_wave(150e-12, 2e-12, center=2e-9, half_span=1.5e-9)
+    path = tmp_path / "mu.csv"
+    write_waveform_csv(path, wave.with_samples(wave.samples, unit="µA"))
+    prefix = str(tmp_path / "out")
+    assert cli.main(["compare", str(path), str(path), "--level", "0.5",
+                     "--out-prefix", prefix]) == 0
+    capsys.readouterr()
+    assert read_waveform_csv(prefix + "_a.csv").unit == "µA"
+
+
 def test_kstest_identical_inputs(tmp_path, capsys):
     wave = gaussian_wave(150e-12, 5e-12)
     path = tmp_path / "w.csv"

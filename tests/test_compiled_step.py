@@ -503,6 +503,32 @@ def test_step_matrix_carries_the_mapped_laser_poles(method):
     assert np.max(err) <= 1e-12
 
 
+def test_transfer_is_the_bilinear_map_of_the_state_space_model():
+    # Oracle: the RLC ring-down (C from a to ground, R from a to b, L
+    # from b to ground, the source I0 into a) as a two-state model with
+    # states v_C and i_L, mapped by scipy's bilinear transform.  The
+    # compiled side's transfer from the source to the unknowns is
+    # G^-1 (Rz z^-1 (I - M z^-1)^-1 N + Rs).
+    signal = pytest.importorskip("scipy.signal")
+    net, cfg, _ = rlc_networks()["rlc-ringdown"]
+    R = net.branch("R").element.ohms
+    L = net.branch("L").element.henries
+    C = net.branch("C").element.farads
+    a = np.array([[0.0, -1.0 / C], [1.0 / L, -R / L]])
+    b = np.array([[1.0 / C], [0.0]])
+    c = np.array([[1.0, 0.0], [1.0, -R]])   # v(a) = v_C, v(b) = v_C - R i_L
+    ad, bd, cd, dd, _ = signal.cont2discrete((a, b, c, np.zeros((2, 1))),
+                                             cfg.dt, method="bilinear")
+    step = compile_step(net, cfg)
+    rows = [step.row["a"], step.row["b"]]
+    n_z = len(step.M)
+    for z in np.exp(2j * np.pi * (np.arange(16) + 0.5) / 16):
+        state = np.linalg.solve(np.eye(n_z) - step.M / z, step.N)
+        got = np.linalg.solve(step.G, step.Rz @ state / z + step.Rs)[rows]
+        want = cd @ np.linalg.solve(z * np.eye(2) - ad, bd) + dd
+        assert np.max(np.abs(got - want)) <= 1e-12 * np.max(np.abs(want))
+
+
 @pytest.mark.parametrize("method", METHODS)
 def test_tee_modes_on_the_unit_circle(method):
     # The tee puts a capacitor (CTEE) and a choke (LTEE) each in series

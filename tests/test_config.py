@@ -171,6 +171,14 @@ def test_laser_route_detection():
         partial = dict(CIRCUIT)
         del partial["R_o"]
         laser_circuit_from(partial)
+    with pytest.raises(ConfigError, match=r"physics route missing keys \['delta'\]"):
+        partial = dict(physics)
+        del partial["delta"]
+        laser_circuit_from(partial)
+    # T is optional on the physics route and defaults to 300 K.
+    del physics["T"]
+    assert laser_circuit_from(physics) == laser_circuit_from({**physics, "T": 300.0})
+    assert laser_circuit_from(physics) != laser_circuit_from({**physics, "T": 310.0})
 
 
 def test_driver_kwargs_filter_pairing():

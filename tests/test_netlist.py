@@ -123,6 +123,15 @@ def test_emitted_values_parse_back_bit_for_bit(ohms, henries, farads, amps, volt
     assert compiled_G(back) == compiled_G(net)
 
 
+def test_non_ascii_names_round_trip(tmp_path):
+    net = parse_netlist("VS 0 a V 1\nRµ a b R 2.5\nLΩ b 0 L 1uH\n")
+    path = tmp_path / "net.net"
+    write_netlist(net, path)
+    back = read_netlist(path)
+    assert back.branch_ids == net.branch_ids == ("VS", "Rµ", "LΩ")
+    assert emit_netlist(back) == emit_netlist(net)
+
+
 def test_waveform_sources_round_trip_through_sidecars(tmp_path):
     from pulsenet import Branch, Network
     wave = Waveform(0.0, 1e-12, np.array([0.0, 1e-3, 2e-3, 1e-3, 0.0]), "A")

@@ -324,14 +324,12 @@ EDGE_VALUES = (5e-324, 1e-300, 1e-9, 1.0, 1e300, 1.7e308)
 
 @pytest.mark.parametrize("method", ["trapezoidal", "backward-euler"])
 def test_edge_element_values_fail_loudly_or_run(method):
-    """Every V-R-L-C-I network with a 1.7e308 ohm resistor or a 5e-324 F
-    capacitor either gives finite step maps or a SimulationError, without
-    a warning, and its run ends in a record or a SimulationError."""
+    """Every V-R-L-C-I network of the edge values either gives finite
+    step maps or a SimulationError, without a warning, and its run ends
+    in a record or a SimulationError."""
     cfg = SimConfig(t_end=1e-9, dt=1e-10, method=method)
     overflowed = 0
     for ohms, henries, farads in itertools.product(EDGE_VALUES, repeat=3):
-        if ohms != 1.7e308 and farads != 5e-324:
-            continue
         net = vrlci_network(ohms, henries, farads)
         with warnings.catch_warnings():
             warnings.simplefilter("error")
@@ -347,6 +345,48 @@ def test_edge_element_values_fail_loudly_or_run(method):
             except SimulationError:
                 pass
     assert overflowed > 0
+
+
+def test_run_that_steps_into_overflow_is_reported():
+    # The maps are finite (dt/2L = 5e289 S), but the state they step is
+    # not: the run names the overflow and the extreme conductances.
+    net = vrlci_network(1.0, 1e-300, 1.0)
+    cfg = SimConfig(t_end=1e-9, dt=1e-10)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        step = compile_step(net, cfg)
+        assert all(np.all(np.isfinite(getattr(step, name)))
+                   for name in ("M", "N", "Rz", "Rs"))
+        with pytest.raises(SimulationError,
+                           match=r"the run in steps 1 to 10 overflowed for "
+                                 r"these element values.*branch 'L'"):
+            transient(net, cfg)
+
+
+@pytest.mark.parametrize("method", ["trapezoidal", "backward-euler"])
+def test_non_finite_conductance_names_its_branch(method):
+    """An element value whose conductance is not finite is named, with
+    its branch, and is never blamed on a source loop or cutset."""
+    dt = 1e-10
+    cfg = SimConfig(t_end=1e-9, dt=dt, method=method)
+    k = 2.0 if method == "trapezoidal" else 1.0
+    named = 0
+    for ohms, henries, farads in itertools.product(EDGE_VALUES, repeat=3):
+        with np.errstate(over="ignore", divide="ignore"):
+            g = {"R": 1.0 / np.float64(ohms),
+                 "L": dt / (k * np.float64(henries)),
+                 "C": k * np.float64(farads) / dt}
+        infinite = [name for name, value in g.items() if not np.isfinite(value)]
+        if not infinite:
+            continue
+        with pytest.raises(SimulationError) as info:
+            transient(vrlci_network(ohms, henries, farads), cfg)
+        message = str(info.value)
+        assert "voltage-source loops" not in message
+        assert message.startswith(f"branch {infinite[0]!r}: ")
+        assert "conductance inf S, which is not finite" in message
+        named += 1
+    assert named == 116
 
 
 def test_initial_condition_validation():
