@@ -1,10 +1,14 @@
 """Two-sample Kolmogorov-Smirnov indistinguishability test.
 
-The statistic D = sup |F_a - F_b| is computed exactly: at every pooled
-value, ``searchsorted`` on the two sorted samples counts the i and j
-values at or below it, and D is the largest integer numerator
-|i*n - j*m| over m*n, a ratio of integers with no accumulated float
-error.  The p-value uses the asymptotic Kolmogorov distribution
+The statistic D = sup |F_a - F_b| is computed exactly, from one linear
+merge of the two sorted samples: walking the pooled values in order,
+a running sum that adds n for each value of the first sample and
+subtracts m for each of the second is i*n - j*m, with i and j the
+counts of values at or below the current one.  Read at the last
+position of each run of equal values, so that ties accumulate first,
+its largest magnitude over m*n is D, a ratio of integers with no
+accumulated float error.  The p-value uses the asymptotic Kolmogorov
+distribution
 
     Q(lambda) = 2 * sum_{k>=1} (-1)^(k-1) exp(-2 k^2 lambda^2)
 
@@ -16,6 +20,7 @@ distribution exactly when p > alpha.
 from __future__ import annotations
 
 import math
+import numbers
 from dataclasses import dataclass
 
 import numpy as np
@@ -35,7 +40,10 @@ class EmpiricalCdf:
 
     def __call__(self, x):
         """F(x) = (number of sample values <= x) / n: a float for a
-        scalar ``x``, an array for an array of points."""
+        scalar ``x``, an array for an array of points.  A NaN point,
+        where F is undefined, is a StatsError."""
+        if np.isnan(x).any():
+            raise StatsError(f"the CDF is undefined at NaN, got {x!r}")
         counts = np.searchsorted(self.sorted_values, x, side="right")
         if np.ndim(counts):
             return counts / self.n
@@ -66,8 +74,10 @@ def kolmogorov_q(lam: float) -> float:
     slow).  Q(0) = 1 by its limit; below lambda = 0.01 the result is 1
     to double precision, returned directly.
     """
-    if not (isinstance(lam, (int, float)) and math.isfinite(lam) and lam >= 0):
+    if not (isinstance(lam, numbers.Real) and not isinstance(lam, bool)
+            and math.isfinite(lam) and lam >= 0):
         raise StatsError(f"lambda must be a finite real >= 0, got {lam!r}")
+    lam = float(lam)  # no fixed-width integer arithmetic below
     if lam < 0.01:
         return 1.0
     total = 0.0
@@ -99,8 +109,14 @@ class KsResult:
 def ks_two_sample(a, b, alpha: float = 0.05) -> KsResult:
     """Exact-D two-sample KS test at significance level ``alpha``.
 
-    Ties, within or across the samples, accumulate at their value
-    before the gap is measured, so quantized data is handled correctly.
+    Each sample is sorted, and a stable argsort of the two sorted runs
+    laid end to end merges them in linear time.  Along the merge, the
+    running sum of +n per first-sample value and -m per second-sample
+    value is i*n - j*m, where i and j count the values of each sample
+    up to that position.  Ties, within or across the samples (-0.0 and
+    0.0 are one value), accumulate before the gap is measured: the sum
+    is read only where a run of equal values ends, so quantized data is
+    handled correctly.
     """
     if not 0 < alpha < 1:
         raise StatsError(f"alpha must be in (0, 1), got {alpha}")
@@ -108,12 +124,20 @@ def ks_two_sample(a, b, alpha: float = 0.05) -> KsResult:
     ys = _sorted_samples(b, "second")
     m, n = xs.size, ys.size
     pooled = np.concatenate([xs, ys])
-    # side="right" counts a tied value in full before the gap is taken;
-    # i*n and j*m stay below m*n, exact in int64 for any sample that fits
-    # in memory
-    i = np.searchsorted(xs, pooled, side="right")
-    j = np.searchsorted(ys, pooled, side="right")
-    d_stat = int(np.max(np.abs(i * n - j * m))) / (m * n)
+    order = np.argsort(pooled, kind="stable")
+    pooled = pooled[order]
+    # +n where the value is the first sample's, -m where the second's;
+    # |i*n - j*m| stays at or below m*n, exact in int64 for any sample
+    # that fits in memory
+    walk = (order < m).astype(np.int64)
+    del order
+    walk *= m + n
+    walk -= m
+    np.cumsum(walk, out=walk)
+    # The sum after the last value is m*n - n*m = 0, so only the ends of
+    # the runs before it are read.
+    gaps = walk[:-1][pooled[1:] != pooled[:-1]]
+    d_stat = int(np.max(np.abs(gaps, out=gaps), initial=0)) / (m * n)
 
     effective_n = m * n / (m + n)
     lam = d_stat * math.sqrt(effective_n)

@@ -59,6 +59,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field, replace
+from functools import partial
 from typing import Callable, Mapping, Sequence
 
 import numpy as np
@@ -69,7 +70,8 @@ from .elements import (Capacitor, CurrentSource, Element, Inductor, Resistor,
 from .errors import SimulationError
 from .laser import LaserCircuit
 from .metrics import fwhm
-from .topology import Branch, Network, boundary, connected_components
+from .topology import (Branch, Network, boundary, connected_components,
+                       cycle_rank)
 from .waveform import Waveform
 
 METHODS = ("trapezoidal", "backward-euler")
@@ -163,13 +165,15 @@ class SimResult:
         return first.times()
 
 
-def _solve(G: np.ndarray, rhs: np.ndarray, message: str) -> np.ndarray:
+def _solve(G: np.ndarray, rhs: np.ndarray,
+           why: Callable[[], str]) -> np.ndarray:
     """Solve G x = rhs by LU (LAPACK gesv), turning singularity into a
-    SimulationError.  G is never inverted: its condition reaches 8e11."""
+    SimulationError with the message ``why()``.  G is never inverted:
+    its condition reaches 8e11."""
     try:
         return np.linalg.solve(G, rhs)
     except np.linalg.LinAlgError as exc:
-        raise SimulationError(f"{message} ({exc})") from exc
+        raise SimulationError(f"{why()} ({exc})") from exc
 
 
 def _checked_network(net: Network) -> None:
@@ -295,17 +299,41 @@ class CompiledStep:
     index: Mapping[type, np.ndarray]
 
 
-def _overflow(what: str, net: Network, cfg: SimConfig, g: np.ndarray,
-              index: Mapping[type, np.ndarray]) -> SimulationError:
-    """The error for ``what`` overflowing, naming the smallest and the
-    largest companion conductance, where the overflow comes from."""
+def _span(net: Network, cfg: SimConfig, g: np.ndarray,
+          index: Mapping[type, np.ndarray]) -> str:
+    """The run's grid and method, and its smallest and largest companion
+    conductance: where an overflow or a numerically singular G comes
+    from."""
     rlc = np.concatenate([index[Resistor], index[Capacitor], index[Inductor]])
     lo, hi = rlc[np.argmin(np.abs(g[rlc]))], rlc[np.argmax(np.abs(g[rlc]))]
-    return SimulationError(
-        f"{what} overflowed for these element values at dt = {cfg.dt!r} s "
-        f"({cfg.method}): companion conductances span {g[lo]:.3g} S "
-        f"(branch {net.branches[lo].id!r}) to {g[hi]:.3g} S "
-        f"(branch {net.branches[hi].id!r})")
+    return (f"at dt = {cfg.dt!r} s ({cfg.method}): companion conductances "
+            f"span {g[lo]:.3g} S (branch {net.branches[lo].id!r}) to "
+            f"{g[hi]:.3g} S (branch {net.branches[hi].id!r})")
+
+
+def _overflow(what: str, net: Network, cfg: SimConfig, g: np.ndarray,
+              index: Mapping[type, np.ndarray]) -> SimulationError:
+    """The error for ``what`` overflowing, with the conductance span."""
+    return SimulationError(f"{what} overflowed for these element values "
+                           f"{_span(net, cfg, g, index)}")
+
+
+def _singular(net: Network, cfg: SimConfig, g: np.ndarray,
+              index: Mapping[type, np.ndarray]) -> str:
+    """Why the transient's G is singular.  Every resistor, capacitor and
+    inductor has a conductance, so G is singular in exact arithmetic
+    only for a loop of voltage sources or for a node that only current
+    sources join to the reference.  A network with neither has a G that
+    is singular in floating point: the conductance span is named."""
+    sources = [net.branches[k] for k in index[VoltageSource]]
+    rest = [br for br in net.branches
+            if not isinstance(br.element, CurrentSource)]
+    if (cycle_rank(Network(net.nodes, sources))
+            or len(connected_components(Network(net.nodes, rest))) > 1):
+        return _SINGULAR
+    return ("singular system matrix for these element values, with no "
+            "voltage-source loop or current-source cutset, "
+            + _span(net, cfg, g, index))
 
 
 def compile_step(net: Network, cfg: SimConfig) -> CompiledStep:
@@ -361,7 +389,8 @@ def compile_step(net: Network, cfg: SimConfig) -> CompiledStep:
     # capacitor beside a 1.7e308 ohm resistor); that is reported below.
     with np.errstate(over="ignore", invalid="ignore"):
         r_unit = assemble(unit[:n_z], unit[n_z:])
-        z_unit = advance(unit[:n_z], _solve(G, r_unit, _SINGULAR))
+        z_unit = advance(unit[:n_z], _solve(
+            G, r_unit, partial(_singular, net, cfg, g, index)))
     if not (np.all(np.isfinite(r_unit)) and np.all(np.isfinite(z_unit))):
         raise _overflow("the step map (M, N, Rz, Rs)", net, cfg, g, index)
     for array in (G, r_unit, z_unit, g, A, *index.values()):
@@ -473,7 +502,8 @@ def transient(net: Network, cfg: SimConfig,
                 # a node (a bias current against its choke's current) then
                 # cancel before the solve scales them by 1/g of a small
                 # companion conductance, not after.
-                x = _solve(step.G, step.Rz @ zs[:-1].T + step.Rs @ s, _SINGULAR)
+                x = _solve(step.G, step.Rz @ zs[:-1].T + step.Rs @ s,
+                           partial(_singular, net, cfg, step.g, step.index))
                 z_new = zs[1:].T
             else:
                 x, z_new = x0[:, None], z[:, None]
@@ -549,7 +579,7 @@ def dc_operating_point(net: Network) -> InitialCondition:
     rhs = np.concatenate([A[:, isrc] @ -np.array([at_zero[k] for k in isrc]),
                           [at_zero.get(k, 0.0) for k in cur]])
 
-    x = _solve(G, rhs, "operating point is singular")
+    x = _solve(G, rhs, lambda: "operating point is singular")
     if not np.all(np.isfinite(x)):
         raise SimulationError("operating point is singular")
 

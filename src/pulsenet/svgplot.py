@@ -154,5 +154,7 @@ def _escape(text: str) -> str:
 
 def write_plot(path, series: Sequence[Series], title: str = "",
                x_label: str = "", y_label: str = "") -> None:
+    """Write the SVG of :func:`line_plot` to ``path`` as UTF-8, so that
+    labels may carry units such as µA."""
     Path(path).write_text(line_plot(series, title, x_label, y_label),
-                          encoding="ascii")
+                          encoding="utf-8")

@@ -103,6 +103,14 @@ class Network:
     def branch_ids(self) -> tuple[str, ...]:
         return tuple(br.id for br in self.branches)
 
+    @cached_property
+    def _ends(self) -> tuple[tuple[int, ...], tuple[int, ...]]:
+        """Index in ``nodes`` of every branch's start and of its end, in
+        branch order: the form the topology algorithms run on."""
+        index = {label: k for k, label in enumerate(self.nodes)}
+        return (tuple(index[br.start] for br in self.branches),
+                tuple(index[br.end] for br in self.branches))
+
     def branch(self, branch_id: str) -> Branch:
         for br in self.branches:
             if br.id == branch_id:
@@ -150,31 +158,31 @@ def boundary(net: Network) -> BoundaryMatrix:
     exactly what makes its current free in the kernel.
     """
     mat = np.zeros((len(net.nodes), len(net.branches)), dtype=np.int64)
-    index = {label: k for k, label in enumerate(net.nodes)}
-    for j, br in enumerate(net.branches):
-        mat[index[br.end], j] += 1
-        mat[index[br.start], j] -= 1
+    for j, (start, end) in enumerate(zip(*net._ends)):
+        mat[end, j] += 1
+        mat[start, j] -= 1
     mat.setflags(write=False)
     return BoundaryMatrix(net.nodes, net.branch_ids, mat)
 
 
-def _spanning_forest(net: Network) -> tuple[list[int], Callable[[str], str]]:
+def _spanning_forest(net: Network) -> tuple[list[int], Callable[[int], int]]:
     """Spanning forest grown by one union-find pass in branch order.
 
     Returns the indices of the forest's branches (each joins two trees
-    grown so far) and the ``find`` that maps a node to its tree's root.
+    grown so far) and the ``find`` that maps a node index to the index
+    of its tree's root.
     """
-    parent = {label: label for label in net.nodes}
+    parent = list(range(len(net.nodes)))
 
-    def find(x: str) -> str:
+    def find(x: int) -> int:
         while parent[x] != x:
             parent[x] = parent[parent[x]]
             x = parent[x]
         return x
 
     forest = []
-    for k, br in enumerate(net.branches):
-        ra, rb = find(br.start), find(br.end)
+    for k, (start, end) in enumerate(zip(*net._ends)):
+        ra, rb = find(start), find(end)
         if ra != rb:
             parent[ra] = rb
             forest.append(k)
@@ -184,9 +192,9 @@ def _spanning_forest(net: Network) -> tuple[list[int], Callable[[str], str]]:
 def connected_components(net: Network) -> list[frozenset[str]]:
     """Connected components of the underlying undirected graph."""
     _, find = _spanning_forest(net)
-    groups: dict[str, set[str]] = {}
-    for label in net.nodes:
-        groups.setdefault(find(label), set()).add(label)
+    groups: dict[int, set[str]] = {}
+    for k, label in enumerate(net.nodes):
+        groups.setdefault(find(k), set()).add(label)
     return [frozenset(g) for g in groups.values()]
 
 
@@ -199,39 +207,42 @@ def cycle_space(net: Network) -> CycleBasis:
     dimension always equals
     ``len(net.branches) - len(net.nodes) + len(connected_components(net))``.
     """
+    starts, ends = net._ends
     forest, _ = _spanning_forest(net)
-    # Root each tree; up[n] = (parent node, branch, coefficient of that
-    # branch when walked from n to its parent).
-    adjacent: dict[str, list[tuple[str, int, int]]] = {n: [] for n in net.nodes}
+    # Root each tree; up[v] = (parent node, branch, coefficient of that
+    # branch when walked from v to its parent), for node indices v.
+    adjacent: list[list[tuple[int, int, int]]] = [[] for _ in net.nodes]
     for k in forest:
-        br = net.branches[k]
-        adjacent[br.start].append((br.end, k, -1))
-        adjacent[br.end].append((br.start, k, 1))
-    up: dict[str, tuple[str, int, int]] = {}
-    depth: dict[str, int] = {}
-    for root in net.nodes:
-        if root in depth:
+        adjacent[starts[k]].append((ends[k], k, -1))
+        adjacent[ends[k]].append((starts[k], k, 1))
+    up: list[tuple[int, int, int]] = [(-1, -1, 0)] * len(net.nodes)
+    depth = [-1] * len(net.nodes)
+    for root in range(len(net.nodes)):
+        if depth[root] >= 0:
             continue
         depth[root] = 0
         stack = [root]
         while stack:
-            n = stack.pop()
-            for m, k, coef in adjacent[n]:
-                if m not in depth:
-                    depth[m] = depth[n] + 1
-                    up[m] = (n, k, coef)
-                    stack.append(m)
+            v = stack.pop()
+            for w, k, coef in adjacent[v]:
+                if depth[w] < 0:
+                    depth[w] = depth[v] + 1
+                    up[w] = (v, k, coef)
+                    stack.append(w)
 
     in_forest = set(forest)
+    n_branches = len(starts)
     vectors = []
-    for f, br in enumerate(net.branches):
+    for f in range(n_branches):
         if f in in_forest:
             continue
-        vec = [0] * len(net.branches)
+        vec = [0] * n_branches
         vec[f] = 1
         # Climb from both ends to where the two paths meet: a's steps
-        # run along the cycle, b's against it.
-        a, b = br.end, br.start
+        # run along the cycle, b's against it.  The entry of the lowest
+        # branch index reached is the first non-zero one.
+        lead = f
+        a, b = ends[f], starts[f]
         while a != b:
             if depth[a] >= depth[b]:
                 a, k, coef = up[a]
@@ -239,7 +250,9 @@ def cycle_space(net: Network) -> CycleBasis:
             else:
                 b, k, coef = up[b]
                 vec[k] = -coef
-        if next(v for v in vec if v) < 0:
+            if k < lead:
+                lead = k
+        if vec[lead] < 0:
             vec = [-v for v in vec]
         vectors.append(tuple(vec))
     return CycleBasis(net.branch_ids, tuple(vectors))
@@ -253,14 +266,18 @@ def cycle_rank(net: Network) -> int:
 def _currents_vector(net: Network,
                      currents: Mapping[str, Any] | Sequence[Any]) -> list[Any]:
     if isinstance(currents, Mapping):
-        missing = [br.id for br in net.branches if br.id not in currents]
-        if missing:
+        ids = net.branch_ids
+        # Tested with ``in`` before it is read, so that a mapping with a
+        # default (``defaultdict``) never fills in a missing branch.
+        vec = [currents[b] for b in ids if b in currents]
+        if len(vec) != len(ids):
+            missing = [b for b in ids if b not in currents]
             raise TopologyError(f"missing currents for branches {missing}")
         # Every branch has a current, so only a longer mapping has extras.
-        if len(currents) != len(net.branches):
-            extra = set(currents) - set(net.branch_ids)
+        if len(currents) != len(ids):
+            extra = set(currents) - set(ids)
             raise TopologyError(f"currents given for unknown branches {sorted(extra)}")
-        return [currents[br.id] for br in net.branches]
+        return vec
     vec = list(currents)
     if len(vec) != len(net.branches):
         raise TopologyError(
@@ -279,11 +296,11 @@ def kcl_residual(net: Network,
     the kernel of :func:`boundary`.
     """
     vec = _currents_vector(net, currents)
-    residual: dict[str, Any] = {label: 0 for label in net.nodes}
-    for br, cur in zip(net.branches, vec):
-        residual[br.end] = residual[br.end] + cur
-        residual[br.start] = residual[br.start] - cur
-    return residual
+    residual: list[Any] = [0] * len(net.nodes)
+    for start, end, cur in zip(*net._ends, vec):
+        residual[end] = residual[end] + cur
+        residual[start] = residual[start] - cur
+    return dict(zip(net.nodes, residual))
 
 
 def in_cycle_space(net: Network,

@@ -56,3 +56,22 @@ def test_series_validation():
         Series("bad", np.array([1.0]), np.array([1.0]))
     with pytest.raises(PulsenetError, match="matching 1-d x/y"):
         Series("bad", np.array([1.0, 2.0]), np.array([1.0, 2.0, 3.0]))
+
+
+def test_non_ascii_label_is_written_as_utf8(tmp_path):
+    import xml.etree.ElementTree as ET
+
+    x = np.linspace(0.0, 1.0, 5)
+    path = tmp_path / "micro.svg"
+    write_plot(path, [Series("I [µA]", x, x)], title="µ-scale", y_label="I [µA]")
+    root = ET.fromstring(path.read_bytes())
+    texts = [el.text for el in root.iter("{http://www.w3.org/2000/svg}text")]
+    assert texts.count("I [µA]") == 2
+    assert "µ-scale" in texts
+
+
+def test_ascii_plot_bytes_are_its_ascii_text(tmp_path):
+    path = tmp_path / "plot.svg"
+    write_plot(path, two_series(), title="run", x_label="t", y_label="I")
+    doc = line_plot(two_series(), title="run", x_label="t", y_label="I")
+    assert path.read_bytes() == doc.encode("ascii")

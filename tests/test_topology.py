@@ -160,6 +160,112 @@ def test_kcl_residual_is_type_preserving():
     assert not in_cycle_space(net, bent)
 
 
+def dict_cycle_space(net):
+    """Reference basis: the spanning forest grown and walked over node
+    labels, with a dict per node map."""
+    parent = {label: label for label in net.nodes}
+
+    def find(x):
+        while parent[x] != x:
+            parent[x] = parent[parent[x]]
+            x = parent[x]
+        return x
+
+    forest = []
+    for k, br in enumerate(net.branches):
+        ra, rb = find(br.start), find(br.end)
+        if ra != rb:
+            parent[ra] = rb
+            forest.append(k)
+    adjacent = {n: [] for n in net.nodes}
+    for k in forest:
+        br = net.branches[k]
+        adjacent[br.start].append((br.end, k, -1))
+        adjacent[br.end].append((br.start, k, 1))
+    up, depth = {}, {}
+    for root in net.nodes:
+        if root in depth:
+            continue
+        depth[root] = 0
+        stack = [root]
+        while stack:
+            n = stack.pop()
+            for m, k, coef in adjacent[n]:
+                if m not in depth:
+                    depth[m] = depth[n] + 1
+                    up[m] = (n, k, coef)
+                    stack.append(m)
+    vectors = []
+    for f, br in enumerate(net.branches):
+        if f in forest:
+            continue
+        vec = [0] * len(net.branches)
+        vec[f] = 1
+        a, b = br.end, br.start
+        while a != b:
+            if depth[a] >= depth[b]:
+                a, k, coef = up[a]
+                vec[k] = coef
+            else:
+                b, k, coef = up[b]
+                vec[k] = -coef
+        if next(v for v in vec if v) < 0:
+            vec = [-v for v in vec]
+        vectors.append(tuple(vec))
+    return tuple(vectors)
+
+
+def dict_kcl_residual(net, vec):
+    """Reference residual, accumulated in branch order per node label."""
+    residual = {label: 0 for label in net.nodes}
+    for br, cur in zip(net.branches, vec):
+        residual[br.end] = residual[br.end] + cur
+        residual[br.start] = residual[br.start] - cur
+    return residual
+
+
+def test_cycle_basis_matches_the_label_walk_on_the_criterion_family():
+    # Self-loops, isolated nodes and parallel branches all occur.
+    rng = np.random.default_rng(1000)
+    seen = {"self-loop": 0, "isolated": 0, "parallel": 0}
+    for _ in range(1000):
+        net = random_network(rng)
+        ends = [(br.start, br.end) for br in net.branches]
+        seen["self-loop"] += any(a == b for a, b in ends)
+        seen["isolated"] += len({n for e in ends for n in e}) < len(net.nodes)
+        seen["parallel"] += len({frozenset(e) for e in ends}) < len(ends)
+        basis = cycle_space(net)
+        assert basis.branch_ids == net.branch_ids
+        assert basis.vectors == dict_cycle_space(net)
+    assert min(seen.values()) > 100, seen
+
+
+def test_kcl_residual_keeps_types_and_inputs():
+    rng = np.random.default_rng(12)
+    for _ in range(100):
+        net = random_network(rng)
+        ints = [int(v) for v in rng.integers(-5, 6, size=len(net.branches))]
+        residual = kcl_residual(net, ints)
+        assert list(residual) == list(net.nodes)
+        assert all(type(v) is int for v in residual.values())
+        assert list(residual.values()) == (boundary(net).matrix @ ints).tolist()
+
+        thirds = [Fraction(v, 3) for v in ints]
+        exact = kcl_residual(net, dict(zip(net.branch_ids, thirds)))
+        assert all(type(v) in (Fraction, int) for v in exact.values())
+        assert exact == {k: Fraction(v, 3) for k, v in residual.items()}
+
+        floats = rng.normal(size=len(net.branches))
+        kept = floats.copy()
+        floats.setflags(write=False)
+        got = kcl_residual(net, floats)
+        assert np.array_equal(floats, kept)
+        assert got == dict_kcl_residual(net, kept.tolist())
+        writable = kept.copy()
+        kcl_residual(net, writable)
+        assert np.array_equal(writable, kept)
+
+
 def test_kcl_residual_accepts_sequences():
     net = triangle()
     assert in_cycle_space(net, [2, 2, 2])

@@ -278,22 +278,38 @@ def test_diagnostics_name_the_problem():
         transient(floating, cfg)
 
 
+SOURCE_LOOP_OR_CUTSET = (r"^singular system matrix; check for voltage-source "
+                         r"loops or current-source cutsets \(")
+
+
 def test_singular_systems_are_reported():
     cfg = SimConfig(t_end=1e-9, dt=1e-10)
     vs_loop = Network.from_branches([
         Branch("V1", "0", "a", VoltageSource(1.0)),
         Branch("V2", "0", "a", VoltageSource(2.0)),
     ], reference="0")
-    with pytest.raises(SimulationError, match="singular system matrix"):
-        transient(vs_loop, cfg)
-
+    # A loop of three sources, with a resistor across one of them.
+    vs_triangle = Network.from_branches([
+        Branch("V1", "a", "0", VoltageSource(1.0)),
+        Branch("R", "a", "b", Resistor(1.0)),
+        Branch("V2", "a", "b", VoltageSource(1.0)),
+        Branch("V3", "b", "0", VoltageSource(1.0)),
+    ], reference="0")
     cutset = Network.from_branches([
         Branch("I1", "0", "a", CurrentSource(1.0)),
         Branch("I2", "a", "0", CurrentSource(2.0)),
     ], reference="0")
-    with pytest.raises(SimulationError, match="singular"):
-        transient(cutset, cfg)
-    with pytest.raises(SimulationError, match="singular"):
+    # Node b hangs off a grounded RC only through current sources.
+    cut_node = Network.from_branches([
+        Branch("R", "a", "0", Resistor(1.0)),
+        Branch("C", "a", "0", Capacitor(1e-9)),
+        Branch("I", "a", "b", CurrentSource(1e-3)),
+        Branch("I2", "b", "a", CurrentSource(1e-3)),
+    ], reference="0")
+    for net in (vs_loop, vs_triangle, cutset, cut_node):
+        with pytest.raises(SimulationError, match=SOURCE_LOOP_OR_CUTSET):
+            transient(net, cfg)
+    with pytest.raises(SimulationError, match="operating point is singular"):
         dc_operating_point(cutset)
 
 
@@ -387,6 +403,31 @@ def test_non_finite_conductance_names_its_branch(method):
         assert "conductance inf S, which is not finite" in message
         named += 1
     assert named == 116
+
+
+#: The V-R-L-C-I edge combinations whose conductances are finite but
+#: about 1e590 apart, so that the LU of G meets an exact zero pivot.
+NUMERICALLY_SINGULAR = (
+    *((ohms, 1e-300, farads) for ohms in (1e300, 1.7e308)
+      for farads in (5e-324, 1e-300, 1e-9, 1.0)),
+    (1e300, 1.0, 5e-324), (1e300, 1.0, 1e-300))
+
+
+@pytest.mark.parametrize("method", ["trapezoidal", "backward-euler"])
+@pytest.mark.parametrize("ohms, henries, farads", NUMERICALLY_SINGULAR)
+def test_numerically_singular_matrix_names_the_conductance_span(
+        method, ohms, henries, farads):
+    """A G that is singular only in floating point is not blamed on a
+    source loop or cutset, which the network does not have."""
+    cfg = SimConfig(t_end=1e-9, dt=1e-10, method=method)
+    with pytest.raises(SimulationError) as info:
+        transient(vrlci_network(ohms, henries, farads), cfg)
+    message = str(info.value)
+    assert message.startswith(
+        "singular system matrix for these element values, with no "
+        "voltage-source loop or current-source cutset, at dt = 1e-10 s "
+        f"({method}): companion conductances span ")
+    assert "check for voltage-source loops" not in message
 
 
 def test_initial_condition_validation():
