@@ -9,6 +9,7 @@ typo must never silently fall back to a default.
 
 from __future__ import annotations
 
+import math
 import re
 from dataclasses import dataclass
 from decimal import Decimal, InvalidOperation
@@ -48,26 +49,27 @@ def parse_quantity(text: str) -> tuple[float, str]:
         value = Decimal(match.group())
     except InvalidOperation:  # pragma: no cover - regex should prevent this
         raise ConfigError(f"unreadable number {match.group()!r}") from None
-    if not tail:
-        return float(value), ""
-
-    unit = next((u for u in UNITS if tail.endswith(u)), None)
-    if unit is None:
-        raise ConfigError(
-            f"unknown unit {tail!r} at position {len(raw) - len(tail)} in {text!r}")
-    prefix = tail[:-len(unit)]
-    if prefix:
-        if prefix not in SI_PREFIXES:
+    unit = ""
+    if tail:
+        unit = next((u for u in UNITS if tail.endswith(u)), None)
+        if unit is None:
             raise ConfigError(
-                f"unknown prefix {prefix!r} at position "
-                f"{len(raw) - len(tail)} in {text!r}")
-        # Moves the exponent exactly; scaleb would round to the
-        # context's 28 digits, a second rounding before float().
-        sign, digits, exp = value.as_tuple()
-        value = Decimal((sign, digits, exp + SI_PREFIXES[prefix]))
-    if unit == "Ω":
-        unit = "ohm"
-    return float(value), unit
+                f"unknown unit {tail!r} at position {len(raw) - len(tail)} in {text!r}")
+        prefix = tail[:-len(unit)]
+        if prefix:
+            if prefix not in SI_PREFIXES:
+                raise ConfigError(
+                    f"unknown prefix {prefix!r} at position "
+                    f"{len(raw) - len(tail)} in {text!r}")
+            # Moves the exponent exactly; scaleb would round to the
+            # context's 28 digits, a second rounding before float().
+            sign, digits, exp = value.as_tuple()
+            value = Decimal((sign, digits, exp + SI_PREFIXES[prefix]))
+    number = float(value)
+    if math.isinf(number) or (number == 0.0 and value):
+        raise ConfigError(f"{raw!r} is outside the float range "
+                          f"(it would read as {number:g})")
+    return number, "ohm" if unit == "Ω" else unit
 
 
 @dataclass(frozen=True)
@@ -99,7 +101,10 @@ def _parse_value(key: str, spec: Key, text: str, where: str) -> Any:
             raise ConfigError(
                 f"{where}: {key} must be one of {spec.choices}, got {text!r}")
         return text
-    value, unit = parse_quantity(text)
+    try:
+        value, unit = parse_quantity(text)
+    except ConfigError as exc:
+        raise ConfigError(f"{where}: {key}: {exc}") from None
     if spec.unit == "":
         if unit:
             raise ConfigError(
@@ -293,7 +298,10 @@ def sweep_values_from(cfg: Mapping[str, Any], source: str = "<config>"
         item = item.strip()
         if not item:
             continue
-        value, unit = parse_quantity(item)
+        try:
+            value, unit = parse_quantity(item)
+        except ConfigError as exc:
+            raise ConfigError(f"{source}: sweep_values: {exc}") from None
         if unit != want:
             raise ConfigError(
                 f"{source}: sweep value {item!r} needs unit {want!r}")

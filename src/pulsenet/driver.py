@@ -21,7 +21,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import elements
-from .errors import SimulationError, TopologyError
+from .errors import SimulationError, TopologyError, require_memory
 from .laser import LaserCircuit, equivalent_branches
 from .topology import Branch, Network
 from .waveform import Waveform
@@ -82,10 +82,11 @@ class StimulusSpec:
     shape: str = "trapezoid"
 
     def __post_init__(self) -> None:
+        for name in ("bias", "amplitude", "width", "delay", "edge", "rate"):
+            if not math.isfinite(getattr(self, name)):
+                raise TopologyError(f"{name} must be finite, got {getattr(self, name)}")
         if not self.bias > 0:
             raise TopologyError(f"bias must be > 0 A, got {self.bias}")
-        if not math.isfinite(self.amplitude):
-            raise TopologyError(f"amplitude must be finite, got {self.amplitude}")
         if not self.width > 0:
             raise TopologyError(f"width must be > 0 s, got {self.width}")
         if not self.delay >= 0:
@@ -163,6 +164,8 @@ def stimulus(spec: StimulusSpec, t_end: float, dt: float,
     n = int(round((t_end - t0) / dt)) + 1
     if n < 2:
         raise SimulationError(f"grid [{t0:g}, {t_end:g}] s holds fewer than two samples")
+    # the time grid, the train and its scaled copy
+    require_memory(3 * 8 * n, f"the stimulus on {n:,} samples")
     t = t0 + dt * np.arange(n)
     out = np.zeros(n)
     first = math.floor((t[0] - spec.pulse_center(0)) * spec.rate) - 1

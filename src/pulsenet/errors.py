@@ -4,6 +4,8 @@ All domain failures derive from PulsenetError so callers (and the CLI)
 can distinguish "your input or model is bad" from genuine bugs.
 """
 
+import os
+
 
 class PulsenetError(Exception):
     """Base class for all pulsenet domain errors."""
@@ -39,3 +41,13 @@ class StatsError(PulsenetError):
 
 class ConfigError(PulsenetError):
     """Bad key, unit, or value in a run-configuration file."""
+
+
+def require_memory(nbytes: int, what: str) -> None:
+    """SimulationError if ``what`` needs more than the physical memory
+    (unchecked where ``os.sysconf`` cannot tell its size)."""
+    if "SC_PHYS_PAGES" in getattr(os, "sysconf_names", {}):
+        available = os.sysconf("SC_PAGE_SIZE") * os.sysconf("SC_PHYS_PAGES")
+        if nbytes > available:
+            raise SimulationError(f"{what} needs {nbytes:,} bytes, more than "
+                                  f"the {available:,} bytes of physical memory")

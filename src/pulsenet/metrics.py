@@ -198,26 +198,20 @@ def normalize_align(first: Waveform, second: Waveform
         fq = q - kq
         if abs(fq) < 1e-9:
             fq = 0.0
-        n1, n2 = len(w1), len(w2)
-        if fq == 0.0:
-            i_min, i_max = -kq, n2 - 1 - kq
-        elif fq > 0.0:
-            i_min, i_max = -kq, n2 - 2 - kq
-        else:
-            i_min, i_max = 1 - kq, n2 - 1 - kq
-        a = max(0, i_min)
-        b = min(n1 - 1, i_max)
+        elif fq < 0.0:
+            # interpolate forward from the sample below, as for fq > 0
+            kq, fq = kq - 1, 1.0 + fq
+        # output index i reads w2 at i + kq, and at i + kq + 1 if fq > 0
+        a = max(0, -kq)
+        b = min(len(w1) - 1, len(w2) - 1 - kq - (fq > 0.0))
         if b - a + 1 < 2:
             raise MetricsError("waveforms do not overlap after alignment")
         s1 = w1.samples[a:b + 1]
         idx = np.arange(a + kq, b + kq + 1)
         if fq == 0.0:
             s2 = w2.samples[idx]
-        elif fq > 0.0:
-            s2 = (1.0 - fq) * w2.samples[idx] + fq * w2.samples[idx + 1]
         else:
-            g = 1.0 + fq
-            s2 = (1.0 - g) * w2.samples[idx - 1] + g * w2.samples[idx]
+            s2 = (1.0 - fq) * w2.samples[idx] + fq * w2.samples[idx + 1]
         t_start = w1.t0 + a * dt
     else:
         # different grids: plain resampling of the second onto the first

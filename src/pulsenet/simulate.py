@@ -67,7 +67,7 @@ import numpy as np
 from .driver import SENSE_BRANCH, StimulusSpec, driver_network
 from .elements import (Capacitor, CurrentSource, Element, Inductor, Resistor,
                        VoltageSource)
-from .errors import SimulationError
+from .errors import SimulationError, require_memory
 from .laser import LaserCircuit
 from .metrics import fwhm
 from .topology import (Branch, Network, boundary, connected_components,
@@ -132,10 +132,10 @@ class SimConfig:
 class InitialCondition:
     """State at t = 0: node voltages and branch currents.
 
-    Missing nodes start at 0 V; missing currents at 0 A.  Currents are
-    meaningful for inductors (their state), capacitors under the
-    trapezoidal rule (companion history) and voltage sources (recorded
-    in the t = 0 output column only).
+    Missing nodes start at 0 V; missing currents at 0 A; every given
+    value must be finite.  Currents are meaningful for inductors (their
+    state), capacitors under the trapezoidal rule (companion history)
+    and voltage sources (recorded in the t = 0 output column only).
     """
 
     node_voltages: Mapping[str, float] = field(default_factory=dict)
@@ -408,14 +408,22 @@ def transient(net: Network, cfg: SimConfig,
     """
     step = compile_step(net, cfg)
     initial = initial or InitialCondition()
-    unknown_nodes = set(initial.node_voltages) - set(net.nodes)
-    if unknown_nodes:
-        raise SimulationError(f"initial voltages name unknown nodes {sorted(unknown_nodes)}")
-    unknown_brs = set(initial.branch_currents) - set(net.branch_ids)
-    if unknown_brs:
-        raise SimulationError(f"initial currents name unknown branches {sorted(unknown_brs)}")
+    for quantity, owner, owners, given, known in (
+            ("voltage", "node", "nodes", initial.node_voltages, net.nodes),
+            ("current", "branch", "branches", initial.branch_currents, net.branch_ids)):
+        unknown = set(given) - set(known)
+        if unknown:
+            raise SimulationError(
+                f"initial {quantity}s name unknown {owners} {sorted(unknown)}")
+        for label, value in given.items():
+            if not math.isfinite(float(value)):
+                raise SimulationError(f"initial {quantity} of {owner} {label!r} "
+                                      f"must be finite, got {value}")
 
     steps = cfg.steps
+    # node voltages but the reference's, branch currents and the time grid
+    require_memory(8 * (steps + 1) * (len(net.nodes) + len(net.branches)),
+                   f"the record of {steps:,} steps")
     times = cfg.dt * np.arange(steps + 1)
     res_idx, cap_idx, ind_idx, isrc_idx, vsrc_idx = step.index.values()
     sources = [_source_samples(net.branches[k], times)
@@ -443,7 +451,8 @@ def transient(net: Network, cfg: SimConfig,
     lift = np.hstack([p.T for p in powers[1:]])
     jump = np.ascontiguousarray(powers[K].T)
 
-    # Initial state: the unknowns x and the state z at t = 0.
+    # The t = 0 column is the supplied state: v0, the supplied currents,
+    # g*u0 through each resistor and s(0) through each current source.
     v0 = np.zeros(n_v)
     for label, volt in initial.node_voltages.items():
         r = step.row[label]
@@ -453,74 +462,79 @@ def transient(net: Network, cfg: SimConfig,
             raise SimulationError("reference node voltage must be 0")
     i0 = np.array([float(initial.branch_currents.get(br.id, 0.0))
                    for br in net.branches])
-    x0 = np.concatenate([v0, i0[vsrc_idx]])
-    u0 = A.T @ v0
+    with np.errstate(over="ignore", invalid="ignore"):
+        u0 = A.T @ v0
+        g_u0 = step.g * u0
+    # Finite voltages can still differ by more than the float range.
+    bad = np.flatnonzero(~np.isfinite(g_u0))
+    if bad.size:
+        raise SimulationError(f"initial voltages put {u0[bad[0]]:g} V across branch "
+                              f"{net.branches[bad[0]].id!r}, past the float range")
     z = np.concatenate([u0[cap_idx], i0[cap_idx], u0[ind_idx], i0[ind_idx]])
+    I_rec = np.empty((len(net.branches), steps + 1))
+    V_rec = np.empty((n_v, steps + 1))
+    V_rec[:, 0] = v0
+    I_rec[:, 0] = i0
+    I_rec[res_idx, 0] = g_u0[res_idx]
+    I_rec[isrc_idx, 0] = [src[0] for src in sources[:n_i]]
 
-    I_rec = np.zeros((len(net.branches), steps + 1))
-    V_rec = np.zeros((n_v, steps + 1))
-
-    # Record the t = 0 column from the supplied state, then the steps in
-    # blocks.  The current-law audit does not judge t = 0, which is
-    # supplied state and not a solution, but counts it towards the
-    # scales.  Reactive branch currents come from cancelling companion
+    # The steps, in blocks.  The current-law audit does not judge t = 0,
+    # which is supplied state and not a solution, but counts it towards
+    # the scales.  Reactive branch currents come from cancelling companion
     # terms of magnitude g*|u|, so roundoff in the residual floats on
     # those intermediates, not on the (possibly tiny) net currents.
     D = boundary(net).matrix.astype(np.float64)
-    max_resid = scale = g_u = 0.0
-    for lo in (0, *range(1, steps + 1, _BLOCK)):
-        hi = min(lo + _BLOCK, steps + 1) if lo else 1
+    max_resid = 0.0
+    scale = float(np.max(np.abs(I_rec[:, 0])))
+    g_u = float(np.max(step.g * np.abs(u0)))
+    for lo in range(1, steps + 1, _BLOCK):
+        hi = min(lo + _BLOCK, steps + 1)
         s = np.vstack([src[lo:hi] for src in sources])
         # Finite maps can still step into overflow (a 1e-300 H inductor
         # at dt = 0.1 ns); the block's record is checked instead.
         with np.errstate(over="ignore", invalid="ignore"):
-            if lo:
-                # The recurrence, one row of zs per step (zs[0] = z_{lo-1}),
-                # a chunk at a time; the drive is padded with zeros to whole
-                # chunks, which changes no step before the padding.
-                n = hi - lo
-                chunks = -(-n // K)
-                drive = np.zeros((chunks * K, n_z))
-                drive[:n] = (step.N @ s).T
-                free = drive.reshape(chunks, K * n_z) @ toeplitz
-                # Each chunk's start state is the previous start carried
-                # across a whole chunk plus that chunk's zero-start end.
-                starts = np.empty((chunks, n_z))
-                starts[0] = z
-                starts[1:] = free[:-1, (K - 1) * n_z:]
-                rows = list(starts)
-                buf = np.empty(n_z)
-                for prev, cur in zip(rows, rows[1:]):
-                    np.dot(prev, jump, out=buf)
-                    cur += buf
-                zs = np.empty((n + 1, n_z))
-                zs[0] = z
-                zs[1:] = (free + starts @ lift).reshape(chunks * K, n_z)[:n]
-                z = zs[-1].copy()
-                # The unknowns are solved from the assembled right-hand side,
-                # not through a composed map from (z, s): terms that cancel at
-                # a node (a bias current against its choke's current) then
-                # cancel before the solve scales them by 1/g of a small
-                # companion conductance, not after.
-                x = _solve(step.G, step.Rz @ zs[:-1].T + step.Rs @ s,
-                           partial(_singular, net, cfg, step.g, step.index))
-                z_new = zs[1:].T
-            else:
-                x, z_new = x0[:, None], z[:, None]
+            # The recurrence, one row of zs per step (zs[0] = z_{lo-1}),
+            # a chunk at a time; the drive is padded with zeros to whole
+            # chunks, which changes no step before the padding.
+            n = hi - lo
+            chunks = -(-n // K)
+            drive = np.zeros((chunks * K, n_z))
+            drive[:n] = (step.N @ s).T
+            free = drive.reshape(chunks, K * n_z) @ toeplitz
+            # Each chunk's start state is the previous start carried
+            # across a whole chunk plus that chunk's zero-start end.
+            starts = np.empty((chunks, n_z))
+            starts[0] = z
+            starts[1:] = free[:-1, (K - 1) * n_z:]
+            rows = list(starts)
+            buf = np.empty(n_z)
+            for prev, cur in zip(rows, rows[1:]):
+                np.dot(prev, jump, out=buf)
+                cur += buf
+            zs = np.empty((n + 1, n_z))
+            zs[0] = z
+            zs[1:] = (free + starts @ lift).reshape(chunks * K, n_z)[:n]
+            z = zs[-1].copy()
+            # The unknowns are solved from the assembled right-hand side,
+            # not through a composed map from (z, s): terms that cancel at
+            # a node (a bias current against its choke's current) then
+            # cancel before the solve scales them by 1/g of a small
+            # companion conductance, not after.
+            x = _solve(step.G, step.Rz @ zs[:-1].T + step.Rs @ s,
+                       partial(_singular, net, cfg, step.g, step.index))
             u = A.T @ x[:n_v]
             V_rec[:, lo:hi] = x[:n_v]
             I = I_rec[:, lo:hi]
             I[res_idx] = u[res_idx] * g_br[res_idx]
-            I[cap_idx] = z_new[cap_i_rows]
-            I[ind_idx] = z_new[ind_i_rows]
+            I[cap_idx] = zs[1:, cap_i_rows].T
+            I[ind_idx] = zs[1:, ind_i_rows].T
             I[isrc_idx] = s[:n_i]
             I[vsrc_idx] = x[n_v:]
         if not (np.all(np.isfinite(x)) and np.all(np.isfinite(I))):
             raise _overflow(f"the run in steps {lo} to {hi - 1}", net, cfg,
                             step.g, step.index)
 
-        if lo:
-            max_resid = max(max_resid, float(np.max(np.abs(D @ I))))
+        max_resid = max(max_resid, float(np.max(np.abs(D @ I))))
         scale = max(scale, float(np.max(np.abs(I))))
         g_u = max(g_u, float(np.max(g_br * np.abs(u))))
 

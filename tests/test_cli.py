@@ -4,6 +4,8 @@ import os
 import re
 import subprocess
 import sys
+import time
+import tracemalloc
 from pathlib import Path
 
 import numpy as np
@@ -320,6 +322,38 @@ def test_uncountable_step_count_is_an_error_not_a_traceback(tmp_path):
     assert proc.stderr.startswith("error:")
     assert "too many steps" in proc.stderr
     assert "Traceback" not in proc.stderr
+
+
+@pytest.mark.parametrize("old, new, message", [
+    ("delay = 2ns", "delay = 1e999ps",
+     r"huge\.cfg:\d+: delay: '1e999ps' is outside the float range"),
+    ("t_end = 6ns\ndt = 1ps", "t_end = 1ms\ndt = 1fs",
+     r"the stimulus on 1,000,000,000,001 samples needs [\d,]+ bytes, more "
+     r"than the [\d,]+ bytes of physical memory"),
+])
+def test_run_past_float_or_memory_range_is_one_error_line(tmp_path, capsys,
+                                                          old, new, message):
+    """Exit 1 with one ``error:`` line, in well under a second and without
+    a large allocation, rather than a traceback from the allocator."""
+    text = (CONFIGS / "pulse600.cfg").read_text(encoding="ascii")
+    assert old in text
+    cfg = tmp_path / "huge.cfg"
+    cfg.write_text(text.replace(old, new), encoding="ascii")
+    tracemalloc.start()
+    start = time.perf_counter()
+    try:
+        code = cli.main(["simulate", "--config", str(cfg),
+                         "--out", str(tmp_path / "x.csv")])
+        elapsed = time.perf_counter() - start
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    err = capsys.readouterr().err
+    assert code == 1
+    assert re.fullmatch(rf"error: [^\n]*{message}[^\n]*\n", err), err
+    assert elapsed < 1.0
+    assert peak < 10_000_000
+    assert not (tmp_path / "x.csv").exists()
 
 
 @pytest.mark.parametrize("command", ["simulate", "laser-params", "netcheck"])

@@ -1,5 +1,6 @@
 """Quantity parsing and config schema validation."""
 
+import math
 from decimal import Context, Decimal, localcontext
 from pathlib import Path
 
@@ -61,11 +62,23 @@ def quantities(draw):
 # 28 digits would round this to 2**53 + 1, a tie, before float() does.
 @example(("9007199254740.99300000000000000001kA",
           "9007199254740.99300000000000000001", 3, "A"))
+# Either side of the largest float and of half the smallest subnormal.
+@example(("179.76931348623158e306", "179.76931348623158e306", 0, ""))
+@example(("179.76931348623159e306", "179.76931348623159e306", 0, ""))
+@example(("2.4703282292062328e-309fF", "2.4703282292062328e-309", -15, "F"))
+@example(("-2.4703282292062327e-309fF", "-2.4703282292062327e-309", -15, "F"))
 def test_parse_quantity_agrees_with_decimal_arithmetic(quantity):
+    """The value is the exact decimal rounded once to a float; a decimal
+    that rounds to infinity, or a non-zero one that rounds to zero, is
+    an error."""
     text, number, shift, unit = quantity
     with localcontext(Context(prec=100)):
         exact = float(Decimal(number).scaleb(shift))
-    assert parse_quantity(text) == (exact, "ohm" if unit == "Ω" else unit)
+    if math.isinf(exact) or (exact == 0.0 and Decimal(number)):
+        with pytest.raises(ConfigError, match="is outside the float range"):
+            parse_quantity(text)
+    else:
+        assert parse_quantity(text) == (exact, "ohm" if unit == "Ω" else unit)
 
 
 def test_parse_quantity_aliases():
@@ -85,6 +98,30 @@ def test_parse_quantity_errors_carry_positions():
         parse_quantity("1m")
     with pytest.raises(ConfigError, match="unknown prefix 'x' at position 4"):
         parse_quantity("12.5xF")
+
+
+def test_quantities_outside_the_float_range_are_errors():
+    for text, reads_as in (("1e999ps", "inf"), ("-1e999mA", "-inf"),
+                           ("1e-999ps", "0"), ("-1e-330", "-0")):
+        with pytest.raises(ConfigError, match=rf"^'{text}' is outside the "
+                                              rf"float range \(it would read as {reads_as}\)$"):
+            parse_quantity(text)
+    # Zero and the subnormals are floats.
+    assert parse_quantity("0e-999ps") == (0.0, "s")
+    assert parse_quantity("5e-324") == (5e-324, "")
+    # In a config file the error names the file, the line and the key.
+    text = (CONFIGS / "pulse600.cfg").read_text(encoding="ascii")
+    for key, old, new in (("delay", "2ns", "1e999ps"), ("bias", "31mA", "1e999mA"),
+                          ("dt", "1ps", "1e-999ps")):
+        changed = text.replace(f"{key} = {old}", f"{key} = {new}")
+        lineno = 1 + changed[:changed.index(f"{key} = {new}")].count("\n")
+        with pytest.raises(ConfigError, match=rf"^pulse600\.cfg:{lineno}: {key}: "
+                                              rf"'{new}' is outside the float range"):
+            parse_config_text(changed, SIMULATE_KEYS, "pulse600.cfg")
+    with pytest.raises(ConfigError, match=r"^f\.cfg: sweep_values: '1e999ps' is "
+                                          r"outside the float range"):
+        sweep_values_from({"sweep_param": "delay",
+                           "sweep_values": "1ns, 1e999ps"}, "f.cfg")
 
 
 SCHEMA = {

@@ -282,6 +282,92 @@ def test_normalize_align_on_mismatched_grids():
     assert float(np.max(np.abs(a.samples - b.samples))) <= 1e-4
 
 
+def three_branch_align(first, second):
+    """The equal-step path of ``normalize_align`` with a branch of its own
+    for each sign of the fractional shift fq, as it was written before
+    fq < 0 became fq > 0 from the sample below.  Returns the two outputs
+    (or the MetricsError) and the raw fq."""
+    w1, w2 = first, second
+    tp1 = float(w1.times()[int(np.argmax(w1.samples))])
+    tp2 = float(w2.times()[int(np.argmax(w2.samples))])
+    shift = tp1 - tp2
+    dt = w1.dt
+    q = (w1.t0 - w2.t0 - shift) / dt
+    kq = round(q)
+    fq = raw = q - kq
+    if abs(fq) < 1e-9:
+        fq = 0.0
+    n1, n2 = len(w1), len(w2)
+    if fq == 0.0:
+        i_min, i_max = -kq, n2 - 1 - kq
+    elif fq > 0.0:
+        i_min, i_max = -kq, n2 - 2 - kq
+    else:
+        i_min, i_max = 1 - kq, n2 - 1 - kq
+    a = max(0, i_min)
+    b = min(n1 - 1, i_max)
+    if b - a + 1 < 2:
+        return MetricsError("waveforms do not overlap after alignment"), raw
+    s1 = w1.samples[a:b + 1]
+    idx = np.arange(a + kq, b + kq + 1)
+    if fq == 0.0:
+        s2 = w2.samples[idx]
+    elif fq > 0.0:
+        s2 = (1.0 - fq) * w2.samples[idx] + fq * w2.samples[idx + 1]
+    else:
+        g = 1.0 + fq
+        s2 = (1.0 - g) * w2.samples[idx - 1] + g * w2.samples[idx]
+    t_start = w1.t0 + a * dt
+    m1, m2 = float(np.max(s1)), float(np.max(s2))
+    if not (m1 > 0 and m2 > 0):
+        return MetricsError("aligned overlap lost the pulse of one waveform"), raw
+    return (Waveform(t_start, w1.dt, s1 / m1, w1.unit),
+            Waveform(t_start, w1.dt, s2 / m2, w2.unit)), raw
+
+
+def aligned_bytes(out):
+    if isinstance(out, MetricsError):
+        return str(out).encode()
+    return b"".join(np.float64(w.t0).tobytes() + np.float64(w.dt).tobytes()
+                    + w.samples.tobytes() + w.unit.encode() for w in out)
+
+
+def test_one_fractional_shift_rule_matches_three_branches():
+    """On equal steps the peak offset is a whole number of samples but
+    for rounding, so fq is the rounding of t0 + k*dt: start times from
+    1e-5 s on, at 1 ps steps, make it non-zero, of either sign, and
+    within a factor of ten of the 1e-9 snap; steps that differ in the
+    13th digit take the same path.  Short pulses give overlaps of
+    exactly two samples and of one (an error).  Every output and error
+    is byte for byte the oracle's."""
+    rng = np.random.default_rng(20261019)
+    seen = {"fq > 0": 0, "fq < 0": 0, "snapped": 0, "near the snap": 0,
+            "two samples": 0, "error": 0}
+    for _ in range(3000):
+        dt = 1e-12
+        t0 = float(rng.choice([0.0, 1e-9, 1e-6, 1e-5, 1e-4, 1e-2])) \
+            * rng.uniform(0.5, 1.0)
+        dt2 = dt * (1.0 + float(rng.choice([0.0, 3e-13, -3e-13])))
+        w1 = Waveform(t0 + int(rng.integers(-4, 5)) * dt, dt,
+                      rng.uniform(0.01, 1.0, int(rng.integers(2, 9))))
+        w2 = Waveform(t0 + int(rng.integers(-4, 5)) * dt, dt2,
+                      rng.uniform(0.01, 1.0, int(rng.integers(2, 9))))
+        want, raw = three_branch_align(w1, w2)
+        try:
+            got = normalize_align(w1, w2)
+        except MetricsError as exc:
+            got = exc
+        assert aligned_bytes(got) == aligned_bytes(want), (w1, w2)
+        if isinstance(want, MetricsError):
+            seen["error"] += 1
+        elif len(want[0]) == 2:
+            seen["two samples"] += 1
+        seen["snapped" if abs(raw) < 1e-9
+             else "fq > 0" if raw > 0 else "fq < 0"] += 1
+        seen["near the snap"] += 1e-10 < abs(raw) < 1e-8
+    assert min(seen.values()) >= 100, seen
+
+
 #: A pulse of random samples in [0, 1] around a single peak of 2, with a
 #: zero at each end so that both half-maximum crossings exist.
 _pulses = st.lists(st.floats(0.0, 1.0), min_size=1, max_size=60).flatmap(

@@ -1,6 +1,7 @@
 """Shaped perturbation trains: geometry, placement, and resolution guards."""
 
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -158,3 +159,21 @@ def test_spec_validation():
         spec600(edge=600e-12)  # full edge 750 ps > 600 ps width
     with pytest.raises(TopologyError, match="does not fit in the"):
         spec600(width=1.2e-5, rate=100e3)
+    for name in ("bias", "amplitude", "width", "delay", "edge", "rate"):
+        for value in (math.inf, -math.inf, math.nan):
+            with pytest.raises(TopologyError, match=f"^{name} must be finite, got "):
+                spec600(**{name: value})
+
+
+def test_stimulus_too_large_for_memory_fails_before_allocating():
+    tracemalloc.start()
+    try:
+        with pytest.raises(SimulationError, match=(
+                r"^the stimulus on 1,000,000,000,001 samples needs "
+                r"24,000,000,000,024 bytes, more than the [\d,]+ bytes of "
+                r"physical memory$")):
+            stimulus(spec600(), t_end=1e-3, dt=1e-15)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 1_000_000

@@ -2,6 +2,8 @@
 
 import itertools
 import math
+import re
+import tracemalloc
 import warnings
 
 import numpy as np
@@ -438,6 +440,68 @@ def test_initial_condition_validation():
         transient(rc_network(), cfg, InitialCondition(branch_currents={"zz": 1.0}))
     with pytest.raises(SimulationError, match="reference node voltage"):
         transient(rc_network(), cfg, InitialCondition(node_voltages={"0": 1.0}))
+
+
+def test_non_finite_initial_state_is_named():
+    """A supplied voltage or current that is not finite is named by its
+    node or branch, not blamed on the element values."""
+    cfg = SimConfig(t_end=1e-9, dt=1e-10)
+    for initial, message in (
+            (InitialCondition(node_voltages={"b": math.nan}),
+             "initial voltage of node 'b' must be finite, got nan"),
+            (InitialCondition(node_voltages={"a": 1.0, "0": -math.inf}),
+             "initial voltage of node '0' must be finite, got -inf"),
+            (InitialCondition(branch_currents={"C": math.inf}),
+             "initial current of branch 'C' must be finite, got inf"),
+            (InitialCondition(branch_currents={"R": 0.0, "VS": math.nan}),
+             "initial current of branch 'VS' must be finite, got nan")):
+        with pytest.raises(SimulationError, match=f"^{re.escape(message)}$"):
+            transient(rc_network(), cfg, initial)
+    # Finite voltages can still put more than the float range across a
+    # branch.
+    with pytest.raises(SimulationError, match=re.escape(
+            "initial voltages put inf V across branch 'R', past the float range")):
+        transient(rc_network(), cfg,
+                  InitialCondition(node_voltages={"a": 1e308, "b": -1e308}))
+
+
+def test_first_column_is_the_supplied_state():
+    """At t = 0 the record holds the supplied voltages and currents, g*u
+    through each resistor and s(0) through each current source, whatever
+    currents are supplied for those two."""
+    net = Network.from_branches([
+        Branch("VS", "a", "0", VoltageSource(1.0)),
+        Branch("R", "a", "b", Resistor(4.0)),
+        Branch("L", "b", "c", Inductor(1e-9)),
+        Branch("C", "c", "0", Capacitor(1e-12)),
+        Branch("I", "0", "c", CurrentSource(0.25)),
+    ], reference="0")
+    initial = InitialCondition(
+        node_voltages={"a": 1.0, "b": 0.5, "c": -0.75},
+        branch_currents={"VS": -0.125, "R": 9.0, "L": 0.375, "C": 0.625, "I": 9.0})
+    res = transient(net, SimConfig(t_end=1e-12, dt=1e-13), initial)
+    assert {k: w.samples[0] for k, w in res.node_voltages.items()} == {
+        "a": 1.0, "b": 0.5, "c": -0.75, "0": 0.0}
+    assert {k: w.samples[0] for k, w in res.branch_currents.items()} == {
+        "VS": -0.125, "R": 0.125, "L": 0.375, "C": 0.625, "I": 0.25}
+    assert res.current_scale >= 0.625
+
+
+def test_run_too_large_for_memory_fails_before_allocating():
+    # 1e12 steps: 3 nodes less the reference, 3 branches and the time
+    # grid, 8 bytes each per time point.
+    cfg = SimConfig(t_end=1e-3, dt=1e-15)
+    tracemalloc.start()
+    try:
+        with pytest.raises(SimulationError, match=(
+                r"^the record of 1,000,000,000,000 steps needs "
+                r"48,000,000,000,048 bytes, more than the [\d,]+ bytes of "
+                r"physical memory$")):
+            transient(rc_network(), cfg)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 1_000_000
 
 
 def test_sim_config_validation():
