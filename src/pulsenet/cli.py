@@ -25,7 +25,10 @@ from .waveform import (Waveform, read_waveform_csv, write_rows_csv,
 
 
 def _qty(text: str, unit: str, flag: str) -> float:
-    value, got = cfgmod.parse_quantity(text)
+    try:
+        value, got = cfgmod.parse_quantity(text)
+    except ConfigError as exc:
+        raise ConfigError(f"{flag}: {exc}") from None
     if got != unit:
         raise ConfigError(f"{flag} needs a quantity in {unit!r}, got {text!r}")
     return value

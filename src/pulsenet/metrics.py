@@ -174,47 +174,34 @@ def normalize_align(first: Waveform, second: Waveform
     """Scale both pulses to unit peak and align the second peak time to
     the first.
 
-    Both inputs must be baseline-subtracted with positive peaks.  The
-    second waveform is shifted by whole samples where the peak offset
-    allows, with sub-sample linear interpolation otherwise, and both
-    outputs cover the overlapping span on the first waveform's grid.
+    Both inputs must be baseline-subtracted with positive peaks.  On
+    equal steps the second waveform is shifted by whole samples, since
+    both peak times are sample times; on different grids it is resampled
+    onto the first by linear interpolation.  Both outputs cover the
+    overlapping span on the first waveform's grid.
     Each output is scaled by its own maximum over that span, so
     applying the function to its own output changes nothing.
     """
-    prepared = []
     for which, w in (("first", first), ("second", second)):
-        pk = float(np.max(w.samples))
-        if not pk > 0:
+        if not float(np.max(w.samples)) > 0:
             raise MetricsError(f"{which} waveform has no positive peak")
-        prepared.append((w, float(w.times()[int(np.argmax(w.samples))])))
-    (w1, tp1), (w2, tp2) = prepared
-    shift = tp1 - tp2  # imposed delay of the second waveform
+    w1, w2 = first, second
+    k1, k2 = int(np.argmax(w1.samples)), int(np.argmax(w2.samples))
 
     if abs(w1.dt - w2.dt) <= 1e-12 * w1.dt:
-        dt = w1.dt
-        # fractional index of w2 feeding output index i is i + q
-        q = (w1.t0 - w2.t0 - shift) / dt
-        kq = round(q)
-        fq = q - kq
-        if abs(fq) < 1e-9:
-            fq = 0.0
-        elif fq < 0.0:
-            # interpolate forward from the sample below, as for fq > 0
-            kq, fq = kq - 1, 1.0 + fq
-        # output index i reads w2 at i + kq, and at i + kq + 1 if fq > 0
+        # Both peak times are sample times, so the second waveform moves by
+        # whole samples: output index i reads w2 at i + kq.
+        kq = k2 - k1
         a = max(0, -kq)
-        b = min(len(w1) - 1, len(w2) - 1 - kq - (fq > 0.0))
+        b = min(len(w1) - 1, len(w2) - 1 - kq)
         if b - a + 1 < 2:
             raise MetricsError("waveforms do not overlap after alignment")
         s1 = w1.samples[a:b + 1]
-        idx = np.arange(a + kq, b + kq + 1)
-        if fq == 0.0:
-            s2 = w2.samples[idx]
-        else:
-            s2 = (1.0 - fq) * w2.samples[idx] + fq * w2.samples[idx + 1]
-        t_start = w1.t0 + a * dt
+        s2 = w2.samples[a + kq:b + kq + 1]
+        t_start = w1.t0 + a * w1.dt
     else:
         # different grids: plain resampling of the second onto the first
+        shift = float(w1.times()[k1] - w2.times()[k2])  # delay of the second
         lo_t = max(w1.t0, w2.t0 + shift)
         hi_t = min(w1.t_end, w2.t_end + shift)
         a = int(np.ceil((lo_t - w1.t0) / w1.dt - 1e-9))

@@ -20,13 +20,12 @@ holding the read-only maps of
 
 ``transient`` compiles, builds the state at t = 0 and writes the
 record: the t = 0 column first, then the steps in fixed-size blocks.
-Each block advances the state by a chunked scan (Blelloch 1990; Martin
-and Cundy 2018, arXiv:1709.04057): over chunks of K = ``_CHUNK`` steps, one
-matrix product with the block-Toeplitz map of M^0 ... M^(K-1) gives
-every chunk's response from a zero start, a short loop carries the
-state from chunk end to chunk end by M^K, and a second product with
-M^1 ... M^K adds each chunk's start state.  The powers are built once
-per run.  Each block then computes the unknowns x (one LU solve
+Each block advances the state by a doubling scan (Hillis and Steele,
+CACM 29(12), 1986): with the block's drives N s_n as rows under the
+start state, pass k adds to every row the row 2^k above it times
+M^(2^k), so after ceil(log2(n + 1)) passes row j holds the whole
+recurrence up to step j.  The powers M^(2^k) are built once per run by
+squaring.  Each block then computes the unknowns x (one LU solve
 of G for the whole block, by ``numpy.linalg.solve``), the branch
 currents, and the current-law audit, which pushes each block's branch
 currents through the full incidence matrix.  If any node's residual
@@ -83,9 +82,6 @@ GMIN = 1e-12
 #: Steps per block: sources, unknowns, branch currents and the
 #: current-law audit are computed this many time points at a time.
 _BLOCK = 4096
-
-#: Steps per chunk of the scan that advances the state within a block.
-_CHUNK = 16
 
 #: Element kinds, in the order of ``CompiledStep.index``.
 _KINDS = (Resistor, Capacitor, Inductor, CurrentSource, VoltageSource)
@@ -435,21 +431,14 @@ def transient(net: Network, cfg: SimConfig,
     cap_i_rows = slice(n_c, 2 * n_c)
     ind_i_rows = slice(n_z - len(ind_idx), n_z)
 
-    # The chunked scan, in row form (a state is a row z, a step z M^T + w).
-    # Over a chunk of K steps, a row of drives times ``toeplitz`` (block
-    # (i, j) is M^(j-i) transposed, zero for i > j) is the response from
-    # a zero start, and a start state times ``lift`` (block j is M^(j+1)
-    # transposed) is the response to the start.
-    K = _CHUNK
-    powers = [np.eye(n_z)]
-    for _ in range(K):
-        powers.append(step.M @ powers[-1])
-    toeplitz = np.zeros((K * n_z, K * n_z))
-    for i in range(K):
-        for j in range(i, K):
-            toeplitz[i * n_z:(i + 1) * n_z, j * n_z:(j + 1) * n_z] = powers[j - i].T
-    lift = np.hstack([p.T for p in powers[1:]])
-    jump = np.ascontiguousarray(powers[K].T)
+    # The doubling scan, in row form (a state is a row z, a step z M^T + w):
+    # powers[k] is (M^T)^(2^k), enough for a shift of a whole block.
+    # M^(2^k) can overflow where M itself is finite (a 1e-300 H inductor
+    # at dt = 0.1 ns); the block that meets it reports the overflow.
+    powers = [step.M.T]
+    with np.errstate(over="ignore", invalid="ignore"):
+        for _ in range(_BLOCK.bit_length() - 1):
+            powers.append(powers[-1] @ powers[-1])
 
     # The t = 0 column is the supplied state: v0, the supplied currents,
     # g*u0 through each resistor and s(0) through each current source.
@@ -493,27 +482,17 @@ def transient(net: Network, cfg: SimConfig,
         # Finite maps can still step into overflow (a 1e-300 H inductor
         # at dt = 0.1 ns); the block's record is checked instead.
         with np.errstate(over="ignore", invalid="ignore"):
-            # The recurrence, one row of zs per step (zs[0] = z_{lo-1}),
-            # a chunk at a time; the drive is padded with zeros to whole
-            # chunks, which changes no step before the padding.
+            # The recurrence, one row of zs per step (zs[0] = z_{lo-1}).
+            # After pass k, row j holds the drives of rows j - 2^(k+1) + 1
+            # to j carried to step j.  Each pass reads the rows as they were
+            # before it: the product is evaluated before the add, and must
+            # never be written with out= into zs, whose two slices overlap.
             n = hi - lo
-            chunks = -(-n // K)
-            drive = np.zeros((chunks * K, n_z))
-            drive[:n] = (step.N @ s).T
-            free = drive.reshape(chunks, K * n_z) @ toeplitz
-            # Each chunk's start state is the previous start carried
-            # across a whole chunk plus that chunk's zero-start end.
-            starts = np.empty((chunks, n_z))
-            starts[0] = z
-            starts[1:] = free[:-1, (K - 1) * n_z:]
-            rows = list(starts)
-            buf = np.empty(n_z)
-            for prev, cur in zip(rows, rows[1:]):
-                np.dot(prev, jump, out=buf)
-                cur += buf
             zs = np.empty((n + 1, n_z))
             zs[0] = z
-            zs[1:] = (free + starts @ lift).reshape(chunks * K, n_z)[:n]
+            zs[1:] = (step.N @ s).T
+            for k in range(n.bit_length()):
+                zs[1 << k:] += zs[:-(1 << k)] @ powers[k]
             z = zs[-1].copy()
             # The unknowns are solved from the assembled right-hand side,
             # not through a composed map from (z, s): terms that cancel at

@@ -306,6 +306,21 @@ def test_domain_errors_exit_one(tmp_path, capsys):
     capsys.readouterr()
 
 
+def test_unreadable_quantity_flag_is_named(tmp_path, capsys):
+    path = tmp_path / "w.csv"
+    write_waveform_csv(path, gaussian_wave(150e-12, 5e-12))
+    why = "'1e999s' is outside the float range (it would read as inf)"
+    for flag, argv in (
+            ("--baseline", ["metrics", str(path), "--baseline", "1e999s", "1ns"]),
+            ("--detector-rise", ["kstest", str(path), str(path),
+                                 "--detector-rise", "1e999s"]),
+            ("--detector-rise", ["simulate", "--config", str(CONFIGS / "pulse600.cfg"),
+                                 "--out", str(tmp_path / "x.csv"),
+                                 "--detector-rise", "1e999s"])):
+        assert cli.main(argv) == 1
+        assert capsys.readouterr().err == f"error: {flag}: {why}\n"
+
+
 def test_uncountable_step_count_is_an_error_not_a_traceback(tmp_path):
     # t_end / dt overflows to infinity; SimConfig rejects it before any
     # step is counted.

@@ -17,7 +17,7 @@ from pulsenet import (Branch, Capacitor, CurrentSource, InitialCondition,
                       SimConfig, SimulationError, StimulusSpec,
                       VoltageSource, Waveform, boundary, compile_step,
                       dc_operating_point, driver_network, transient)
-from pulsenet.simulate import _BLOCK, _CHUNK, GMIN
+from pulsenet.simulate import _BLOCK, GMIN
 
 TABLE = dict(R=2.555, L=6.184e-12, C=0.3557e-9, R_spon=2.811e-3, R_o=-5.511e-3)
 BIAS = 31e-3
@@ -610,14 +610,15 @@ def scan_edge_networks(steps):
     }
 
 
-@pytest.mark.parametrize("steps", [1, _CHUNK - 1, _CHUNK, _CHUNK + 1, _BLOCK,
-                                   _BLOCK + 1, _BLOCK + _CHUNK + 1])
+@pytest.mark.parametrize("steps", [1, 2, 3, 4, 5, 255, 256, 257, _BLOCK - 1,
+                                   _BLOCK, _BLOCK + 1, 2 * _BLOCK + 1])
 @pytest.mark.parametrize("method", METHODS)
 @pytest.mark.parametrize("name", ["tee-driver", "rlc-ringdown", "resistive"])
 def test_scan_matches_the_one_step_recurrence(name, method, steps):
-    # The scan advances the state a chunk of _CHUNK steps at a time inside
-    # blocks of _BLOCK steps; at and around every chunk and block edge
-    # the record is that of stepping the same maps one step at a time.
+    # The scan doubles its shift each pass inside blocks of _BLOCK steps;
+    # at and around powers of two, where a block gains a pass, and at
+    # every block edge, the record is that of stepping the same maps one
+    # step at a time.
     net, cfg, initial = scan_edge_networks(steps)[name]
     cfg = SimConfig(t_end=cfg.t_end, dt=cfg.dt, method=method)
     assert cfg.steps == steps

@@ -332,14 +332,17 @@ def aligned_bytes(out):
                     + w.samples.tobytes() + w.unit.encode() for w in out)
 
 
-def test_one_fractional_shift_rule_matches_three_branches():
-    """On equal steps the peak offset is a whole number of samples but
-    for rounding, so fq is the rounding of t0 + k*dt: start times from
+def test_equal_steps_shift_by_whole_samples():
+    """On equal steps both peak times are sample times, so the second
+    pulse moves by exactly kq = argmax(w2) - argmax(w1) samples.  The
+    three-branch oracle took the offset from the peak times instead, and
+    its fractional part fq is the rounding of t0 + k*dt: start times from
     1e-5 s on, at 1 ps steps, make it non-zero, of either sign, and
-    within a factor of ten of the 1e-9 snap; steps that differ in the
-    13th digit take the same path.  Short pulses give overlaps of
-    exactly two samples and of one (an error).  Every output and error
-    is byte for byte the oracle's."""
+    within a factor of ten of its 1e-9 snap; steps that differ in the
+    13th digit take the same path.  Where the oracle snapped fq to 0 the
+    outputs are byte for byte its own; elsewhere they are the samples
+    themselves, kq apart, each over its own maximum.  Short pulses give
+    overlaps of exactly two samples and of one (an error)."""
     rng = np.random.default_rng(20261019)
     seen = {"fq > 0": 0, "fq < 0": 0, "snapped": 0, "near the snap": 0,
             "two samples": 0, "error": 0}
@@ -357,10 +360,19 @@ def test_one_fractional_shift_rule_matches_three_branches():
             got = normalize_align(w1, w2)
         except MetricsError as exc:
             got = exc
+        if abs(raw) >= 1e-9:
+            kq = int(np.argmax(w2.samples)) - int(np.argmax(w1.samples))
+            a, b = max(0, -kq), min(len(w1), len(w2) - kq)
+            if b - a < 2:
+                want = MetricsError("waveforms do not overlap after alignment")
+            else:
+                s1, s2 = w1.samples[a:b], w2.samples[a + kq:b + kq]
+                want = (Waveform(w1.t0 + a * dt, dt, s1 / np.max(s1), w1.unit),
+                        Waveform(w1.t0 + a * dt, dt, s2 / np.max(s2), w2.unit))
         assert aligned_bytes(got) == aligned_bytes(want), (w1, w2)
-        if isinstance(want, MetricsError):
+        if isinstance(got, MetricsError):
             seen["error"] += 1
-        elif len(want[0]) == 2:
+        elif len(got[0]) == 2:
             seen["two samples"] += 1
         seen["snapped" if abs(raw) < 1e-9
              else "fq > 0" if raw > 0 else "fq < 0"] += 1
