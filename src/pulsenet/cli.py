@@ -50,13 +50,11 @@ def _cmd_laser_params(args) -> int:
             circ, temperature=cfg["T"], bias_current=cfg["I_d"],
             n_e=cfg["n_e"], n_sat=cfg["n_sat"],
             threshold_current=cfg.get("threshold"))
-        _print_kv([
-            ("n_photon", f"{phys.n_photon:.9g}"),
-            ("tau_photon", f"{phys.tau_photon:.9g} s"),
-            ("tau_spon", f"{phys.tau_spon:.9g} s"),
-            ("beta", f"{phys.beta:.9g}"),
-            ("delta", f"{phys.delta_gain:.9g}"),
-        ])
+        # the physics keys that the circuit does not give, with their units
+        _print_kv([(k, f"{v:.9g} {spec.unit}".rstrip())
+                   for (k, spec), v in zip(cfgmod.LASER_PHYSICS_KEYS.items(),
+                                           astuple(phys))
+                   if k not in cfgmod.LASER_CIRCUIT_KEYS])
         return 0
 
     cfg = cfgmod.load_config(args.config, cfgmod.LASER_PHYSICS_KEYS)
@@ -133,20 +131,22 @@ def _run_from_config(path, schema):
 def _cmd_simulate(args) -> int:
     _, spec, circ, sim_cfg, net_kwargs = _run_from_config(args.config,
                                                           cfgmod.SIMULATE_KEYS)
+    rise = (_qty(args.detector_rise, "s", "--detector-rise")
+            if args.detector_rise else None)
     result = simulate.run_driver(spec, circ, sim_cfg, **net_kwargs)
+    # Every output is made before the first file is written.
+    sense = simulate.sense_current(result)
+    if rise is not None:
+        sense = simulate.detector_filter(sense, rise)
+    probes = [_probe_wave(result, probe) for probe in args.probe]
+
     if args.emit_netlist:
         netlist.write_netlist(result.network, args.emit_netlist)
         print(f"wrote {args.emit_netlist}")
-    sense = simulate.sense_current(result)
-    if args.detector_rise:
-        rise = _qty(args.detector_rise, "s", "--detector-rise")
-        sense = simulate.detector_filter(sense, rise)
-
     write_waveform_csv(args.out, sense)
     print(f"wrote {args.out} ({len(sense)} samples, dt = {sense.dt:.9g} s)")
     out = Path(args.out)
-    for probe in args.probe:
-        wave = _probe_wave(result, probe)
+    for probe, wave in zip(args.probe, probes):
         dest = out.with_name(f"{out.stem}_{_safe_name(probe)}{out.suffix}")
         write_waveform_csv(dest, wave)
         print(f"wrote {dest}")
@@ -228,12 +228,17 @@ def _cmd_metrics(args) -> int:
 
 # --- compare -----------------------------------------------------------------
 
-def _cmd_compare(args) -> int:
-    first = read_waveform_csv(args.first)
-    second = read_waveform_csv(args.second)
+def _read_pair(args) -> tuple[Waveform, Waveform]:
+    """Read ``first`` and ``second``, then remove the --baseline level of
+    each."""
+    waves = [read_waveform_csv(args.first), read_waveform_csv(args.second)]
     if args.baseline:
-        first, _ = _apply_baseline(first, args.baseline)
-        second, _ = _apply_baseline(second, args.baseline)
+        waves = [_apply_baseline(w, args.baseline)[0] for w in waves]
+    return waves[0], waves[1]
+
+
+def _cmd_compare(args) -> int:
+    first, second = _read_pair(args)
     level = float(args.level)
     delay = metrics.delay_at_level(first, second, level)
     rows = [("delay at level", f"{delay:.9g} s (positive: second later)")]
@@ -258,11 +263,7 @@ def _cmd_compare(args) -> int:
 # --- kstest ------------------------------------------------------------------
 
 def _cmd_kstest(args) -> int:
-    first = read_waveform_csv(args.first)
-    second = read_waveform_csv(args.second)
-    if args.baseline:
-        first, _ = _apply_baseline(first, args.baseline)
-        second, _ = _apply_baseline(second, args.baseline)
+    first, second = _read_pair(args)
     if args.detector_rise:
         rise = _qty(args.detector_rise, "s", "--detector-rise")
         first = simulate.detector_filter(first, rise)
@@ -379,10 +380,7 @@ def main(argv=None) -> int:
         return code if isinstance(code, int) else 2
     try:
         return args.func(args)
-    except PulsenetError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 1
-    except OSError as exc:
+    except (PulsenetError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
 

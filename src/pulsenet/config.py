@@ -29,7 +29,7 @@ SI_PREFIXES = {
 #: Recognized base units, longest first so suffix matching is greedy.
 UNITS = ("ohm", "Ω", "Hz", "s", "A", "V", "F", "H", "K")
 
-_NUMBER_RE = re.compile(r"[+-]?(?:\d+\.?\d*|\.\d+)(?:[eE][+-]?\d+)?")
+_NUMBER_RE = re.compile(r"([+-]?(?:\d+\.?\d*|\.\d+))(?:[eE][+-]?\d+)?")
 
 
 def parse_quantity(text: str) -> tuple[float, str]:
@@ -45,11 +45,7 @@ def parse_quantity(text: str) -> tuple[float, str]:
     if not match:
         raise ConfigError(f"no number at the start of {text!r}")
     tail = raw[match.end():].strip()
-    try:
-        value = Decimal(match.group())
-    except InvalidOperation:  # pragma: no cover - regex should prevent this
-        raise ConfigError(f"unreadable number {match.group()!r}") from None
-    unit = ""
+    unit, shift = "", 0
     if tail:
         unit = next((u for u in UNITS if tail.endswith(u)), None)
         if unit is None:
@@ -61,12 +57,20 @@ def parse_quantity(text: str) -> tuple[float, str]:
                 raise ConfigError(
                     f"unknown prefix {prefix!r} at position "
                     f"{len(raw) - len(tail)} in {text!r}")
-            # Moves the exponent exactly; scaleb would round to the
-            # context's 28 digits, a second rounding before float().
-            sign, digits, exp = value.as_tuple()
-            value = Decimal((sign, digits, exp + SI_PREFIXES[prefix]))
-    number = float(value)
-    if math.isinf(number) or (number == 0.0 and value):
+            shift = SI_PREFIXES[prefix]
+    try:
+        # Moves the exponent exactly; scaleb would round to the
+        # context's 28 digits, a second rounding before float().
+        sign, digits, exp = Decimal(match.group()).as_tuple()
+        value = Decimal((sign, digits, exp + shift))
+        number = float(value)
+        in_range = not (math.isinf(number) or (number == 0.0 and value))
+    except InvalidOperation:
+        # The exponent leaves decimal's range (about 1e18), far past
+        # float's: float() reads the text as 0 or as inf, and only a
+        # zero significand is in range.
+        number, in_range = float(match.group()), not float(match.group(1))
+    if not in_range:
         raise ConfigError(f"{raw!r} is outside the float range "
                           f"(it would read as {number:g})")
     return number, "ohm" if unit == "Ω" else unit

@@ -170,10 +170,10 @@ def waveform_samples_for_cdf(first: Waveform, second: Waveform,
     if not 0 <= resolution < 1:
         raise StatsError(f"resolution must lie in [0, 1), got {resolution}")
     w1, w2 = normalize_align(first, second)
-    width = max(fwhm(w1).fwhm, fwhm(w2).fwhm)
-    t_peak = w1.t0 + w1.dt * int(np.argmax(w1.samples))
-    lo = max(w1.t0, t_peak - window_mult * width)
-    hi = min(w1.t_end, t_peak + window_mult * width)
+    m1 = fwhm(w1)
+    width = max(m1.fwhm, fwhm(w2).fwhm)
+    lo = max(w1.t0, m1.t_peak - window_mult * width)
+    hi = min(w1.t_end, m1.t_peak + window_mult * width)
     a = w1.slice_time(lo, hi).samples.copy()
     b = w2.slice_time(lo, hi).samples.copy()
     if resolution:

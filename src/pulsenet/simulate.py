@@ -472,7 +472,9 @@ def transient(net: Network, cfg: SimConfig,
     # the scales.  Reactive branch currents come from cancelling companion
     # terms of magnitude g*|u|, so roundoff in the residual floats on
     # those intermediates, not on the (possibly tiny) net currents.
-    D = boundary(net).matrix.astype(np.float64)
+    # Each column of the full incidence sums to zero, so A with minus its
+    # column sums appended is the full incidence (negated, reference last).
+    D = np.vstack([A, -A.sum(axis=0)])
     max_resid = 0.0
     scale = float(np.max(np.abs(I_rec[:, 0])))
     g_u = float(np.max(step.g * np.abs(u0)))

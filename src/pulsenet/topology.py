@@ -86,17 +86,8 @@ class Network:
         occur in a branch).
         """
         branches = tuple(branches)
-        nodes: list[str] = []
-        seen: set[str] = set()
-        for label in extra_nodes:
-            if label not in seen:
-                seen.add(label)
-                nodes.append(label)
-        for br in branches:
-            for label in (br.start, br.end):
-                if label not in seen:
-                    seen.add(label)
-                    nodes.append(label)
+        nodes = dict.fromkeys([*extra_nodes, *(label for br in branches
+                                               for label in (br.start, br.end))])
         return cls(tuple(nodes), branches, reference)
 
     @cached_property

@@ -225,19 +225,12 @@ def _tables() -> SimpleNamespace:
     bytes of _TEMPLATE.
     """
     hi, lo = [], []
-    ten_k = 10 ** -_POW_MIN   # 10**|k|
     for k in range(_POW_MIN, _POW_MAX + 1):
         h = float(f"1e{k}")   # correctly rounded, as every float() is
-        if k < 0:
-            # h = num / den with den a power of two, so 10**k - h is
-            # (den - num * 10**|k|) / 10**|k| scaled by 1/den.
-            num, den = h.as_integer_ratio()
-            lo.append(math.ldexp((den - num * ten_k) / ten_k,
-                                 1 - den.bit_length()))
-            ten_k //= 10
-        else:
-            lo.append(float(ten_k - int(h)))
-            ten_k *= 10
+        # 10**k - h as one ratio of integers; int / int rounds correctly.
+        num, den = h.as_integer_ratio()
+        ten_num, ten_den = (10 ** k, 1) if k >= 0 else (1, 10 ** -k)
+        lo.append((ten_num * den - num * ten_den) / (ten_den * den))
         hi.append(h)
     hi = np.array(hi)
     t = hi * _SPLIT

@@ -1,8 +1,40 @@
-"""Shared builders for the test suite."""
+"""Shared fixtures and builders for the test suite."""
+
+import math
 
 import numpy as np
 
-from pulsenet import Branch, Network, Waveform
+from pulsenet import Branch, LaserPhysics, Network, StimulusSpec, Waveform
+
+#: The published laser element values that the shipped configs use.
+ELEMENT_TABLE = dict(R=2.555, L=6.184e-12, C=0.3557e-9,
+                     R_spon=2.811e-3, R_o=-5.511e-3)
+#: The shipped pulse configs' bias current.
+BIAS = 31e-3
+FWHM_PER_SIGMA = 2.3548200450309493  # 2*sqrt(2 ln 2)
+
+
+def pulse_spec(**overrides):
+    """The shipped 600 ps pulse on the bias, with fields overridden."""
+    base = dict(bias=BIAS, amplitude=10.5e-3, width=600e-12,
+                delay=2e-9, edge=100e-12)
+    base.update(overrides)
+    return StimulusSpec(**base)
+
+
+def random_physics(rng):
+    """Operating point drawn log-uniformly over the calibrated ranges."""
+    return LaserPhysics(
+        temperature=float(rng.uniform(250.0, 400.0)),
+        bias_current=float(10 ** rng.uniform(-3, -1)),
+        n_photon=float(10 ** rng.uniform(-3, math.log10(50.0))),
+        tau_photon=float(10 ** rng.uniform(-14, -11)),
+        tau_spon=float(10 ** rng.uniform(-10, -8)),
+        beta=float(10 ** rng.uniform(-7, -2)),
+        n_e=float(10 ** rng.uniform(-1, 1)),
+        n_sat=float(10 ** rng.uniform(math.log10(0.5), math.log10(50.0))),
+        delta_gain=float(10 ** rng.uniform(-4, -1)),
+    )
 
 
 def random_network(rng, max_nodes=20, max_branches=40):

@@ -13,7 +13,7 @@ import pytest
 
 from pulsenet import (Branch, Capacitor, CurrentSource, InitialCondition,
                       Inductor, LaserCircuit, LaserPhysics, Network, Resistor,
-                      SimConfig, StimulusSpec, VoltageSource, Waveform,
+                      SimConfig, VoltageSource, Waveform,
                       baseline_subtract, boundary, circuit_from_physics,
                       connected_components, cycle_space, delay_at_level,
                       detector_filter, fwhm, kcl_residual, kolmogorov_q,
@@ -22,19 +22,8 @@ from pulsenet import (Branch, Capacitor, CurrentSource, InitialCondition,
                       waveform_samples_for_cdf)
 from pulsenet import cli
 from pulsenet.waveform import read_waveform_csv, write_waveform_csv
-from conftest import gaussian_wave, random_network
-
-ELEMENT_TABLE = dict(R=2.555, L=6.184e-12, C=0.3557e-9,
-                     R_spon=2.811e-3, R_o=-5.511e-3)
-BIAS = 31e-3
-FWHM_PER_SIGMA = 2.3548200450309493
-
-
-def drive_spec(**overrides):
-    base = dict(bias=BIAS, amplitude=10.5e-3, width=600e-12,
-                delay=2e-9, edge=100e-12)
-    base.update(overrides)
-    return StimulusSpec(**base)
+from conftest import (BIAS, ELEMENT_TABLE, FWHM_PER_SIGMA, gaussian_wave,
+                      pulse_spec, random_network, random_physics)
 
 
 def test_criterion_1_topology_audit():
@@ -52,20 +41,6 @@ def test_criterion_1_topology_audit():
             assert all(v == 0 for v in residual.values())
     assert time.perf_counter() - start < 5.0
     print("criterion 1 (topology audit, 1000 random networks): PASS")
-
-
-def random_physics(rng):
-    return LaserPhysics(
-        temperature=float(rng.uniform(250.0, 400.0)),
-        bias_current=float(10 ** rng.uniform(-3, -1)),
-        n_photon=float(10 ** rng.uniform(-3, math.log10(50.0))),
-        tau_photon=float(10 ** rng.uniform(-14, -11)),
-        tau_spon=float(10 ** rng.uniform(-10, -8)),
-        beta=float(10 ** rng.uniform(-7, -2)),
-        n_e=float(10 ** rng.uniform(-1, 1)),
-        n_sat=float(10 ** rng.uniform(math.log10(0.5), math.log10(50.0))),
-        delta_gain=float(10 ** rng.uniform(-4, -1)),
-    )
 
 
 def test_criterion_2_equivalent_circuit_calibration():
@@ -141,7 +116,7 @@ def test_criterion_3_transient_correctness():
     circ = LaserCircuit(**ELEMENT_TABLE)
     cfg = SimConfig(t_end=6e-9, dt=1e-12)
     for amplitude in (10.5e-3, 8.2e-3):
-        res = run_driver(drive_spec(amplitude=amplitude), circ, cfg)
+        res = run_driver(pulse_spec(amplitude=amplitude), circ, cfg)
         assert res.max_kcl_residual <= cfg.solver_tol * res.current_scale
     assert time.perf_counter() - start < 30.0
     print("criterion 3 (transient correctness): PASS")
@@ -150,18 +125,18 @@ def test_criterion_3_transient_correctness():
 def test_criterion_4_driver_pulse_reproduction():
     circ = LaserCircuit(**ELEMENT_TABLE)
     cfg = SimConfig(t_end=6e-9, dt=1e-12)
-    m = fwhm(sense_current(run_driver(drive_spec(), circ, cfg)),
+    m = fwhm(sense_current(run_driver(pulse_spec(), circ, cfg)),
              baseline=BIAS)
     assert m.peak == pytest.approx(41.5e-3, rel=0.02)
     assert m.fwhm == pytest.approx(600e-12, rel=0.10)
 
     cfg12 = SimConfig(t_end=12e-9, dt=2e-12)
-    delay_pts = [p for p, _ in sweep_runs(drive_spec(delay=1e-9), circ,
+    delay_pts = [p for p, _ in sweep_runs(pulse_spec(delay=1e-9), circ,
                                           "delay", [1e-9, 9e-9], cfg12)]
     assert delay_pts[1].t_peak - delay_pts[0].t_peak == pytest.approx(
         8e-9, abs=cfg12.dt)
 
-    amp_pts = [p for p, _ in sweep_runs(drive_spec(), circ, "amplitude",
+    amp_pts = [p for p, _ in sweep_runs(pulse_spec(), circ, "amplitude",
                                         [10.5e-3, 8.2e-3], cfg)]
     assert amp_pts[0].peak == pytest.approx(41.5e-3, rel=0.02)
     assert amp_pts[1].peak == pytest.approx(39.2e-3, rel=0.02)
@@ -236,7 +211,7 @@ def test_criterion_7_end_to_end_indistinguishability():
     cfg = SimConfig(t_end=6e-9, dt=1e-12)
 
     def state(amplitude):
-        wave = sense_current(run_driver(drive_spec(amplitude=amplitude),
+        wave = sense_current(run_driver(pulse_spec(amplitude=amplitude),
                                         circ, cfg))
         return baseline_subtract(detector_filter(wave, 500e-12),
                                  (0.0, 1.5e-9))

@@ -14,10 +14,9 @@ import pytest
 import pulsenet
 from pulsenet import cli
 from pulsenet.waveform import read_waveform_csv, write_waveform_csv
-from conftest import gaussian_wave
+from conftest import FWHM_PER_SIGMA, gaussian_wave
 
 CONFIGS = Path(__file__).parent.parent / "configs"
-FWHM_PER_SIGMA = 2.3548200450309493
 
 
 def kv(out):
@@ -321,6 +320,46 @@ def test_unreadable_quantity_flag_is_named(tmp_path, capsys):
         assert capsys.readouterr().err == f"error: {flag}: {why}\n"
 
 
+def count_driver_runs(monkeypatch):
+    """Record each ``run_driver`` call, which still runs."""
+    calls = []
+    real = pulsenet.simulate.run_driver
+
+    def run_driver(*args, **kwargs):
+        calls.append(args)
+        return real(*args, **kwargs)
+
+    monkeypatch.setattr(pulsenet.simulate, "run_driver", run_driver)
+    return calls
+
+
+def test_simulate_reads_its_flags_before_the_run(tmp_path, capsys, monkeypatch):
+    calls = count_driver_runs(monkeypatch)
+    out = tmp_path / "x.csv"
+    assert cli.main(["simulate", "--config", str(CONFIGS / "pulse600.cfg"),
+                     "--out", str(out), "--detector-rise", "1e999s"]) == 1
+    assert capsys.readouterr().err == (
+        "error: --detector-rise: '1e999s' is outside the float range "
+        "(it would read as inf)\n")
+    assert calls == []
+    assert not out.exists()
+
+
+def test_simulate_writes_nothing_for_an_unknown_probe(tmp_path, capsys,
+                                                      monkeypatch):
+    # Probe names come from the assembled network, so they are checked
+    # after the run, but before the first file is written.
+    calls = count_driver_runs(monkeypatch)
+    assert cli.main(["simulate", "--config", str(CONFIGS / "pulse600.cfg"),
+                     "--out", str(tmp_path / "x.csv"), "--probe", "i:NOPE",
+                     "--emit-netlist", str(tmp_path / "n.net")]) == 1
+    captured = capsys.readouterr()
+    assert captured.err == "error: unknown probe branch 'NOPE'\n"
+    assert captured.out == ""
+    assert len(calls) == 1
+    assert list(tmp_path.iterdir()) == []
+
+
 def test_uncountable_step_count_is_an_error_not_a_traceback(tmp_path):
     # t_end / dt overflows to infinity; SimConfig rejects it before any
     # step is counted.
@@ -342,6 +381,10 @@ def test_uncountable_step_count_is_an_error_not_a_traceback(tmp_path):
 @pytest.mark.parametrize("old, new, message", [
     ("delay = 2ns", "delay = 1e999ps",
      r"huge\.cfg:\d+: delay: '1e999ps' is outside the float range"),
+    # past decimal's own exponent range once the prefix moves it
+    ("t_end = 6ns", "t_end = 1e999999999999999999ks",
+     r"huge\.cfg:\d+: t_end: '1e999999999999999999ks' is outside the float "
+     r"range \(it would read as inf\)"),
     ("t_end = 6ns\ndt = 1ps", "t_end = 1ms\ndt = 1fs",
      r"the stimulus on 1,000,000,000,001 samples needs [\d,]+ bytes, more "
      r"than the [\d,]+ bytes of physical memory"),

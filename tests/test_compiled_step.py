@@ -14,13 +14,12 @@ from scipy.linalg import lu_factor, lu_solve
 
 from pulsenet import (Branch, Capacitor, CurrentSource, InitialCondition,
                       Inductor, LaserCircuit, Network, OutputFilter, Resistor,
-                      SimConfig, SimulationError, StimulusSpec,
+                      SimConfig, SimulationError,
                       VoltageSource, Waveform, boundary, compile_step,
                       dc_operating_point, driver_network, transient)
 from pulsenet.simulate import _BLOCK, GMIN
+from conftest import ELEMENT_TABLE, pulse_spec
 
-TABLE = dict(R=2.555, L=6.184e-12, C=0.3557e-9, R_spon=2.811e-3, R_o=-5.511e-3)
-BIAS = 31e-3
 METHODS = ("trapezoidal", "backward-euler")
 
 
@@ -271,18 +270,11 @@ def audit_scale(res):
     return scale
 
 
-def spec(**overrides):
-    base = dict(bias=BIAS, amplitude=10.5e-3, width=600e-12,
-                delay=2e-9, edge=100e-12)
-    base.update(overrides)
-    return StimulusSpec(**base)
-
-
 @pytest.mark.parametrize("method", METHODS)
 def test_driver_without_tee_matches_reference(method):
     cfg = SimConfig(t_end=6e-9, dt=1e-12, method=method)
-    net = driver_network(spec(), LaserCircuit(**TABLE), t_end=6e-9, dt=1e-12,
-                         bias_tee=False)
+    net = driver_network(pulse_spec(), LaserCircuit(**ELEMENT_TABLE),
+                         t_end=6e-9, dt=1e-12, bias_tee=False)
     assert_agrees(*both_runs(net, cfg, dc_operating_point(net)))
 
 
@@ -306,8 +298,8 @@ def test_driver_with_tee_matches_reference(method, variant):
     # current, the measured pulse, still agrees to 1e-12 of the current
     # scale.
     cfg = SimConfig(t_end=6e-9, dt=1e-12, method=method)
-    net = driver_network(spec(), LaserCircuit(**TABLE), t_end=6e-9, dt=1e-12,
-                         **TEE_VARIANTS[variant])
+    net = driver_network(pulse_spec(), LaserCircuit(**ELEMENT_TABLE),
+                         t_end=6e-9, dt=1e-12, **TEE_VARIANTS[variant])
     res, volts, currents = both_runs(net, cfg, dc_operating_point(net))
     assert_agrees(res, volts, currents, cfg.solver_tol, audit_scale(res))
     err = np.max(np.abs(res.branch_currents["VSENSE"].samples
@@ -372,8 +364,8 @@ def test_rlc_networks_match_reference(method, name):
 @pytest.mark.parametrize("variant", ["without-tee", *sorted(TEE_VARIANTS)])
 def test_operating_point_of_the_driver_is_the_stamped_one(variant):
     kwargs = dict(bias_tee=False) if variant == "without-tee" else TEE_VARIANTS[variant]
-    net = driver_network(spec(), LaserCircuit(**TABLE), t_end=6e-9, dt=1e-12,
-                         **kwargs)
+    net = driver_network(pulse_spec(), LaserCircuit(**ELEMENT_TABLE),
+                         t_end=6e-9, dt=1e-12, **kwargs)
     got, ref = dc_operating_point(net), reference_operating_point(net)
     for field in ("node_voltages", "branch_currents"):
         a, b = getattr(got, field), getattr(ref, field)
@@ -415,7 +407,7 @@ def test_resistive_network_with_empty_state(method):
 def test_long_pulse_train_passes_the_current_law_audit():
     # 100k steps at 250 MHz: many recording blocks and 24 pulses.
     cfg = SimConfig(t_end=100e-9, dt=1e-12)
-    net = driver_network(spec(rate=250e6), LaserCircuit(**TABLE),
+    net = driver_network(pulse_spec(rate=250e6), LaserCircuit(**ELEMENT_TABLE),
                          t_end=100e-9, dt=1e-12)
     res = transient(net, cfg, dc_operating_point(net))
     assert cfg.steps == 100_000
@@ -429,8 +421,8 @@ def test_current_law_audit_rejects_a_residual_above_its_tolerance():
     # Behind the parasitic inductance the residual is near 1e-10 A, far
     # above 1e-15 of the audit scale.
     cfg = SimConfig(t_end=1e-9, dt=1e-12, solver_tol=1e-15)
-    net = driver_network(spec(), LaserCircuit(**TABLE), t_end=1e-9, dt=1e-12,
-                         parasitic_inductance=2e-9,
+    net = driver_network(pulse_spec(), LaserCircuit(**ELEMENT_TABLE),
+                         t_end=1e-9, dt=1e-12, parasitic_inductance=2e-9,
                          output_filter=OutputFilter(50.0, 1e-12))
     with pytest.raises(SimulationError, match="current-law residual"):
         transient(net, cfg, dc_operating_point(net))
@@ -489,9 +481,9 @@ def test_step_matrix_carries_the_mapped_laser_poles(method):
     # maps each pole p to (1 + p dt/2)/(1 - p dt/2) (trapezoidal) or
     # 1/(1 - p dt) (backward Euler); those are the nonzero eigenvalues
     # of M.  The other half of the state is redundant (eigenvalue 0).
-    circ = LaserCircuit(**TABLE)
+    circ = LaserCircuit(**ELEMENT_TABLE)
     cfg = SimConfig(t_end=6e-9, dt=1e-12, method=method)
-    net = driver_network(spec(), circ, t_end=6e-9, dt=1e-12, bias_tee=False)
+    net = driver_network(pulse_spec(), circ, t_end=6e-9, dt=1e-12, bias_tee=False)
     eig = np.linalg.eigvals(compile_step(net, cfg).M)
     p = np.roots([circ.L * circ.C, circ.series_resistance * circ.C, 1.0])
     h = cfg.dt
@@ -538,7 +530,8 @@ def test_tee_modes_on_the_unit_circle(method):
     # sign every step, eigenvalue -1.  These are distinct eigenvalues,
     # not a Jordan block, and each eigenvector is that one voltage.
     cfg = SimConfig(t_end=6e-9, dt=1e-12, method=method)
-    net = driver_network(spec(), LaserCircuit(**TABLE), t_end=6e-9, dt=1e-12)
+    net = driver_network(pulse_spec(), LaserCircuit(**ELEMENT_TABLE),
+                         t_end=6e-9, dt=1e-12)
     step = compile_step(net, cfg)
     labels = state_labels(net, step)
     w, vecs = np.linalg.eig(step.M)
@@ -593,7 +586,7 @@ def scan_edge_networks(steps):
     """The tee driver, a ringing RLC circuit and a resistive network
     with no state at all, each run for ``steps`` steps."""
     cfg = SimConfig(t_end=steps * 1e-12, dt=1e-12)
-    tee = driver_network(spec(delay=0.0), LaserCircuit(**TABLE),
+    tee = driver_network(pulse_spec(delay=0.0), LaserCircuit(**ELEMENT_TABLE),
                          t_end=cfg.t_end, dt=cfg.dt)
     rlc, _, rlc_start = rlc_networks()["rlc-ringdown"]
     ramp = Waveform(0.0, 1e-12, 1e-3 * np.arange(steps + 1), "A")

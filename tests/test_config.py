@@ -102,12 +102,20 @@ def test_parse_quantity_errors_carry_positions():
 
 def test_quantities_outside_the_float_range_are_errors():
     for text, reads_as in (("1e999ps", "inf"), ("-1e999mA", "-inf"),
-                           ("1e-999ps", "0"), ("-1e-330", "-0")):
+                           ("1e-999ps", "0"), ("-1e-330", "-0"),
+                           # exponents past decimal's range, after the
+                           # prefix and before it
+                           ("1e999999999999999999ks", "inf"),
+                           ("-1e-999999999999999999fs", "-0"),
+                           ("1e99999999999999999999999999", "inf"),
+                           ("1e-99999999999999999999999999", "0")):
         with pytest.raises(ConfigError, match=rf"^'{text}' is outside the "
                                               rf"float range \(it would read as {reads_as}\)$"):
             parse_quantity(text)
     # Zero and the subnormals are floats.
     assert parse_quantity("0e-999ps") == (0.0, "s")
+    assert parse_quantity("0e999999999999999999ks") == (0.0, "s")
+    assert parse_quantity("0e99999999999999999999999999") == (0.0, "")
     assert parse_quantity("5e-324") == (5e-324, "")
     # In a config file the error names the file, the line and the key.
     text = (CONFIGS / "pulse600.cfg").read_text(encoding="ascii")

@@ -9,24 +9,15 @@ import pytest
 
 from pulsenet import (Branch, Capacitor, CurrentSource, InitialCondition,
                       Inductor, LaserCircuit, Network, OutputFilter, Resistor,
-                      SimConfig, SimulationError, StimulusSpec, SweepPoint,
+                      SimConfig, SimulationError, SweepPoint,
                       boundary, dc_operating_point, detector_filter,
                       driver_network, fwhm, run_driver, sense_current,
                       stimulus, sweep_runs, transient)
-
-TABLE = dict(R=2.555, L=6.184e-12, C=0.3557e-9, R_spon=2.811e-3, R_o=-5.511e-3)
-BIAS = 31e-3
+from conftest import BIAS, ELEMENT_TABLE, pulse_spec
 
 
 def circuit():
-    return LaserCircuit(**TABLE)
-
-
-def pulse_spec(**overrides):
-    base = dict(bias=BIAS, amplitude=10.5e-3, width=600e-12,
-                delay=2e-9, edge=100e-12)
-    base.update(overrides)
-    return StimulusSpec(**base)
+    return LaserCircuit(**ELEMENT_TABLE)
 
 
 def test_driver_pulse_peak_and_width():

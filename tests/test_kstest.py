@@ -9,13 +9,11 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from pulsenet import (LaserCircuit, SimConfig, StatsError, StimulusSpec,
-                      Waveform, baseline_subtract, detector_filter, ecdf,
-                      kolmogorov_q, ks_two_sample, run_driver, sense_current,
+from pulsenet import (LaserCircuit, SimConfig, StatsError, Waveform,
+                      baseline_subtract, detector_filter, ecdf, kolmogorov_q,
+                      ks_two_sample, run_driver, sense_current,
                       waveform_samples_for_cdf)
-from conftest import gaussian_wave
-
-FWHM_PER_SIGMA = 2.3548200450309493
+from conftest import ELEMENT_TABLE, FWHM_PER_SIGMA, gaussian_wave, pulse_spec
 
 
 def q_long(lam, terms=2000):
@@ -384,14 +382,11 @@ def test_population_resolution_quantization():
 def test_two_drive_levels_share_a_distribution():
     # Two runs differing only in perturbation amplitude, seen through
     # the same band-limited detector, must not be told apart.
-    table = dict(R=2.555, L=6.184e-12, C=0.3557e-9,
-                 R_spon=2.811e-3, R_o=-5.511e-3)
     cfg = SimConfig(t_end=6e-9, dt=1e-12)
 
     def drive(amplitude):
-        spec = StimulusSpec(bias=31e-3, amplitude=amplitude, width=600e-12,
-                            delay=2e-9, edge=100e-12)
-        wave = sense_current(run_driver(spec, LaserCircuit(**table), cfg))
+        wave = sense_current(run_driver(pulse_spec(amplitude=amplitude),
+                                        LaserCircuit(**ELEMENT_TABLE), cfg))
         smoothed = detector_filter(wave, 500e-12)
         return baseline_subtract(smoothed, (0.0, 1.5e-9))
 

@@ -1,7 +1,5 @@
 """Equivalent-circuit calibration of the diode small-signal model."""
 
-import math
-
 import numpy as np
 import pytest
 
@@ -9,6 +7,7 @@ from pulsenet import (LaserCircuit, LaserPhysics, ModelError, VoltageSource,
                       circuit_from_physics, cycle_space,
                       differential_resistance, equivalent_network,
                       physics_from_circuit)
+from conftest import random_physics
 
 # Calibration point: fixed junction conditions plus the operating point
 # recovered by exact inversion of the published element values.
@@ -68,20 +67,6 @@ def test_inversion_recovers_the_operating_point():
                                 n_e=CAL_NE, n_sat=CAL_NSAT)
     for name, want in INVERTED.items():
         assert getattr(phys, name) == pytest.approx(want, rel=1e-13), name
-
-
-def random_physics(rng):
-    return LaserPhysics(
-        temperature=float(rng.uniform(250.0, 400.0)),
-        bias_current=float(10 ** rng.uniform(-3, -1)),
-        n_photon=float(10 ** rng.uniform(-3, math.log10(50.0))),
-        tau_photon=float(10 ** rng.uniform(-14, -11)),
-        tau_spon=float(10 ** rng.uniform(-10, -8)),
-        beta=float(10 ** rng.uniform(-7, -2)),
-        n_e=float(10 ** rng.uniform(-1, 1)),
-        n_sat=float(10 ** rng.uniform(math.log10(0.5), math.log10(50.0))),
-        delta_gain=float(10 ** rng.uniform(-4, -1)),
-    )
 
 
 def test_round_trip_physics_circuit_physics():

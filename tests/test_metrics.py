@@ -9,9 +9,7 @@ from hypothesis import strategies as st
 
 from pulsenet import (MetricsError, Waveform, baseline_subtract, delay_at_level,
                       fwhm, normalize_align)
-from conftest import gaussian_wave, triangle_wave
-
-FWHM_PER_SIGMA = 2.3548200450309493  # 2*sqrt(2 ln 2)
+from conftest import FWHM_PER_SIGMA, gaussian_wave, triangle_wave
 
 
 @pytest.mark.parametrize("ratio", [20, 50])
@@ -270,6 +268,16 @@ def test_normalize_align_rejects_flat_and_disjoint_inputs():
         normalize_align(flat, pulse)
     with pytest.raises(MetricsError, match="second waveform has no positive peak"):
         normalize_align(pulse, flat)
+    # On different grids the second waveform is resampled onto the first.
+    # Peaks at opposite ends leave one common sample:
+    with pytest.raises(MetricsError, match="do not overlap after alignment"):
+        normalize_align(Waveform(0.0, 1.0, [0.0, 1.0]),
+                        Waveform(0.0, 2.0, [1.0, 0.0]))
+    # and a 5e-324 peak read just off its own sample time interpolates to 0
+    # (-2.0 - (1.3 - -3.3) is 1.2999999999999998, not 1.3).
+    with pytest.raises(MetricsError, match="aligned overlap lost the pulse"):
+        normalize_align(Waveform(-3.0, 1.0, [0.0, 1.0]),
+                        Waveform(-1.7, 3.0, [0.0, 5e-324, 0.0]))
 
 
 def test_normalize_align_on_mismatched_grids():

@@ -406,6 +406,17 @@ def test_non_finite_conductance_names_its_branch(method):
         named += 1
     assert named == 116
 
+    # Finite conductances (1.7e308 S each) whose sum at a node is not.
+    parallel = Network.from_branches([
+        Branch("VS", "a", "0", VoltageSource(1.0)),
+        Branch("R1", "a", "0", Resistor(6e-309)),
+        Branch("R2", "a", "0", Resistor(6e-309)),
+    ], reference="0")
+    for run in (dc_operating_point, lambda net: transient(net, cfg)):
+        with pytest.raises(SimulationError, match="the branch conductances at "
+                                                  "a node sum past the float range"):
+            run(parallel)
+
 
 #: The V-R-L-C-I edge combinations whose conductances are finite but
 #: about 1e590 apart, so that the LU of G meets an exact zero pivot.

@@ -49,6 +49,8 @@ def test_validation():
         Waveform(0.0, 1.0, [1.0, np.nan])
     with pytest.raises(WaveformError, match="one-dimensional"):
         Waveform(0.0, 1.0, [[1.0, 2.0]])
+    with pytest.raises(WaveformError, match="t0 must be finite"):
+        Waveform(np.inf, 1.0, [1.0, 2.0])
 
 
 def test_value_at_interpolates_and_clamps():
@@ -268,6 +270,17 @@ def test_reader_diagnostics(tmp_path):
     short.write_text("0.0,1.0\n")
     with pytest.raises(WaveformError, match="at least two data rows"):
         read_waveform_csv(short)
+
+    headers_only = tmp_path / "headers.csv"
+    headers_only.write_text("# pulsenet waveform v1\n# dt = 1e-12\ntime_s,value\n")
+    with pytest.raises(WaveformError, match="headers.csv: waveform needs at "
+                                            "least two data rows"):
+        read_waveform_csv(headers_only)
+
+    bad_dt = tmp_path / "bad_dt.csv"
+    bad_dt.write_text("# pulsenet waveform v1\n# dt = abc\n0.0,1.0\n1.0,1.0\n")
+    with pytest.raises(WaveformError, match=r"bad_dt\.csv:2: bad dt header 'abc'"):
+        read_waveform_csv(bad_dt)
 
     malformed = tmp_path / "malformed.csv"
     malformed.write_text("0.0,1.0\n1.0\n")
