@@ -18,7 +18,7 @@ from pathlib import Path
 import numpy as np
 
 from . import config as cfgmod
-from . import kstest, laser, metrics, netlist, simulate, svgplot, topology
+from . import driver, kstest, laser, metrics, netlist, simulate, svgplot, topology
 from .errors import ConfigError, PulsenetError
 from .waveform import (Waveform, read_waveform_csv, write_rows_csv,
                        write_waveform_csv)
@@ -107,16 +107,16 @@ def _safe_name(probe: str) -> str:
     return probe.replace(":", "_").replace("/", "_")
 
 
-def _probe_wave(result: simulate.SimResult, probe: str) -> Waveform:
+def _probe_target(net: topology.Network, probe: str) -> tuple[str, str]:
+    """The record (``node_voltages`` or ``branch_currents``) and the name
+    that ``probe`` reads, checked against the network before the run."""
     if probe.startswith("v:"):
-        node = probe[2:]
-        if node not in result.node_voltages:
-            raise simulate.SimulationError(f"unknown probe node {node!r}")
-        return result.node_voltages[node]
-    name = probe[2:] if probe.startswith("i:") else probe
-    if name not in result.branch_currents:
-        raise simulate.SimulationError(f"unknown probe branch {name!r}")
-    return result.branch_currents[name]
+        kind, name, known = "node", probe[2:], net.nodes
+    else:
+        kind, name, known = "branch", probe.removeprefix("i:"), net.branch_ids
+    if name not in known:
+        raise simulate.SimulationError(f"unknown probe {kind} {name!r}")
+    return ("node_voltages" if kind == "node" else "branch_currents"), name
 
 
 def _run_from_config(path, schema):
@@ -133,12 +133,18 @@ def _cmd_simulate(args) -> int:
                                                           cfgmod.SIMULATE_KEYS)
     rise = (_qty(args.detector_rise, "s", "--detector-rise")
             if args.detector_rise else None)
-    result = simulate.run_driver(spec, circ, sim_cfg, **net_kwargs)
-    # Every output is made before the first file is written.
+    # Every flag is checked before the run, and every output is made
+    # before the first file is written.
+    if rise is not None and not rise > 0:
+        raise simulate.SimulationError(f"rise time must be > 0 s, got {rise}")
+    net = driver.driver_network(spec, circ, t_end=sim_cfg.steps * sim_cfg.dt,
+                                dt=sim_cfg.dt, **net_kwargs)
+    targets = [_probe_target(net, probe) for probe in args.probe]
+    result = simulate.transient(net, sim_cfg, simulate.dc_operating_point(net))
     sense = simulate.sense_current(result)
     if rise is not None:
         sense = simulate.detector_filter(sense, rise)
-    probes = [_probe_wave(result, probe) for probe in args.probe]
+    probes = [getattr(result, record)[name] for record, name in targets]
 
     if args.emit_netlist:
         netlist.write_netlist(result.network, args.emit_netlist)

@@ -14,7 +14,7 @@ import re
 from dataclasses import dataclass
 from decimal import Decimal, InvalidOperation
 from pathlib import Path
-from typing import Any, Mapping
+from typing import Any, Iterator, Mapping
 
 from .driver import PULSE_SHAPES, BiasTee, OutputFilter, StimulusSpec
 from .errors import ConfigError
@@ -124,15 +124,20 @@ def _parse_value(key: str, spec: Key, text: str, where: str) -> Any:
     return value
 
 
+def _stripped_lines(text: str, source: str) -> Iterator[tuple[str, str, str]]:
+    """Each line of ``text`` that holds more than a ``#`` comment, as
+    (``source:lineno``, the line without its comment, the raw line)."""
+    for lineno, raw in enumerate(text.splitlines(), start=1):
+        line = raw.split("#", 1)[0].strip()
+        if line:
+            yield f"{source}:{lineno}", line, raw
+
+
 def parse_config_text(text: str, schema: Mapping[str, Key],
                       source: str = "<config>") -> dict[str, Any]:
     """Parse and validate config text against ``schema``."""
     out: dict[str, Any] = {}
-    for lineno, raw in enumerate(text.splitlines(), start=1):
-        line = raw.split("#", 1)[0].strip()
-        if not line:
-            continue
-        where = f"{source}:{lineno}"
+    for where, line, raw in _stripped_lines(text, source):
         if "=" not in line:
             raise ConfigError(f"{where}: expected 'key = value', got {raw!r}")
         key, _, val = line.partition("=")

@@ -1,7 +1,7 @@
 """Pulse-shape measurements on sampled waveforms.
 
-Level crossings are located by walking outward from the peak and
-linearly interpolating between the two bracketing samples.  Crossing
+A level crossing is bracketed by the samples on either side of it and
+located by linear interpolation between them (``_crossing``).  Crossing
 positions are computed in index space and only converted to seconds at
 the end; that keeps the width purely a function of the sample values,
 so rescaling the amplitude or shifting the time axis cannot perturb it
@@ -44,9 +44,9 @@ def fwhm(wave: Waveform, baseline: float = 0.0) -> PulseMetrics:
     """Full width at half maximum of the dominant pulse.
 
     The half level is ``baseline + (peak - baseline) / 2`` (so plain
-    ``peak / 2`` for the usual baseline-subtracted input).  Crossings
-    are searched outward from the peak, which makes the width immune to
-    ringing or secondary bumps beyond the half-maximum points.
+    ``peak / 2`` for the usual baseline-subtracted input).  The crossings
+    are the ones nearest the peak on either side, which makes the width
+    immune to ringing or secondary bumps beyond the half-maximum points.
     """
     s = wave.samples
     peak = float(np.max(s))
@@ -71,24 +71,18 @@ def fwhm(wave: Waveform, baseline: float = 0.0) -> PulseMetrics:
             f"sample lies above the half level {half:g}; remove the DC "
             "level (subtract a baseline) first")
 
-    lo = i_pk
-    while lo > 0 and s[lo - 1] > half:
-        lo -= 1
-    if lo == 0:
+    # the brackets nearest the peak: the last sample at or below the half
+    # level before it and the first one after it
+    below = np.flatnonzero(s <= half)
+    before, after = below[below < i_pk], below[below > i_pk]
+    if not before.size:
         raise MetricsError("no half-maximum crossing before the peak "
                            "(pulse clipped at the start?)")
-    # bracketing pair: s[lo-1] <= half < s[lo]
-    rise_index = (lo - 1) + (half - s[lo - 1]) / (s[lo] - s[lo - 1])
-
-    hi = i_pk
-    last = len(s) - 1
-    while hi < last and s[hi + 1] > half:
-        hi += 1
-    if hi == last:
+    rise_index = _crossing(s, int(before[-1]), half)
+    if not after.size:
         raise MetricsError("no half-maximum crossing after the peak "
                            "(pulse clipped at the end?)")
-    # bracketing pair: s[hi+1] <= half < s[hi]
-    fall_index = hi + (s[hi] - half) / (s[hi] - s[hi + 1])
+    fall_index = _crossing(s, int(after[0]) - 1, half)
 
     t_rise = wave.t0 + wave.dt * rise_index
     t_fall = wave.t0 + wave.dt * fall_index
@@ -148,15 +142,19 @@ def baseline_subtract(wave: Waveform, window: tuple[float, float]) -> Waveform:
     return wave.with_samples(wave.samples - baseline_level(wave, window))
 
 
+def _crossing(s: np.ndarray, k: int, level: float) -> float:
+    """Index at which ``s`` crosses ``level`` between samples k and k + 1."""
+    return k + (level - s[k]) / (s[k + 1] - s[k])
+
+
 def _rising_crossing(wave: Waveform, level: float, which: str) -> float:
     s = wave.samples
-    for k in range(len(s) - 1):
-        if s[k] < level <= s[k + 1]:
-            frac = (level - s[k]) / (s[k + 1] - s[k])
-            return wave.t0 + wave.dt * (k + frac)
-    raise MetricsError(
-        f"{which} waveform never rises through level {level:g} "
-        f"(range {s.min():g} to {s.max():g})")
+    rising = np.flatnonzero((s[:-1] < level) & (level <= s[1:]))
+    if not rising.size:
+        raise MetricsError(
+            f"{which} waveform never rises through level {level:g} "
+            f"(range {s.min():g} to {s.max():g})")
+    return wave.t0 + wave.dt * _crossing(s, int(rising[0]), level)
 
 
 def delay_at_level(first: Waveform, second: Waveform, level: float) -> float:
@@ -194,11 +192,7 @@ def normalize_align(first: Waveform, second: Waveform
         kq = k2 - k1
         a = max(0, -kq)
         b = min(len(w1) - 1, len(w2) - 1 - kq)
-        if b - a + 1 < 2:
-            raise MetricsError("waveforms do not overlap after alignment")
-        s1 = w1.samples[a:b + 1]
         s2 = w2.samples[a + kq:b + kq + 1]
-        t_start = w1.t0 + a * w1.dt
     else:
         # different grids: plain resampling of the second onto the first
         shift = float(w1.times()[k1] - w2.times()[k2])  # delay of the second
@@ -206,12 +200,12 @@ def normalize_align(first: Waveform, second: Waveform
         hi_t = min(w1.t_end, w2.t_end + shift)
         a = int(np.ceil((lo_t - w1.t0) / w1.dt - 1e-9))
         b = int(np.floor((hi_t - w1.t0) / w1.dt + 1e-9))
-        if b - a + 1 < 2:
-            raise MetricsError("waveforms do not overlap after alignment")
         tgrid = w1.t0 + w1.dt * np.arange(a, b + 1)
-        s1 = w1.samples[a:b + 1]
         s2 = np.interp(tgrid - shift, w2.times(), w2.samples)
-        t_start = float(tgrid[0])
+    if b - a + 1 < 2:
+        raise MetricsError("waveforms do not overlap after alignment")
+    s1 = w1.samples[a:b + 1]
+    t_start = w1.t0 + a * w1.dt
 
     m1 = float(np.max(s1))
     m2 = float(np.max(s2))

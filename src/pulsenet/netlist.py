@@ -15,7 +15,7 @@ from __future__ import annotations
 
 from pathlib import Path
 
-from .config import parse_quantity
+from .config import _stripped_lines, parse_quantity
 from .elements import (Capacitor, CurrentSource, Element, Inductor, Resistor,
                        VoltageSource)
 from .errors import ConfigError, NetlistError
@@ -65,11 +65,7 @@ def parse_netlist(text: str, base_dir=None, source: str = "<netlist>",
     """
     base_dir = Path(base_dir) if base_dir is not None else None
     branches: list[Branch] = []
-    for lineno, raw in enumerate(text.splitlines(), start=1):
-        line = raw.split("#", 1)[0].strip()
-        if not line:
-            continue
-        where = f"{source}:{lineno}"
+    for where, line, raw in _stripped_lines(text, source):
         parts = line.split()
         if len(parts) != 5:
             raise NetlistError(

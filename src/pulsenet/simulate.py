@@ -46,8 +46,9 @@ where g holds the branch conductances and A_x the columns of the
 branches whose current is an unknown (Ho, Ruehli and Brennan, IEEE
 Trans. Circuits Syst. 1975).  ``compile_step`` and
 ``dc_operating_point`` build G with one assembler, ``_assemble``; they
-differ only in the conductance each element gets (at DC, inductors join
-the voltage sources as current unknowns).
+differ only in the conductance each element gets, which ``_conductance``
+states for both (at DC, inductors join the voltage sources as current
+unknowns).
 
 Trapezoidal integration is the default: it is second order and, for
 lossless LC loops, preserves the stored energy exactly (in exact
@@ -88,6 +89,22 @@ _KINDS = (Resistor, Capacitor, Inductor, CurrentSource, VoltageSource)
 
 _SINGULAR = ("singular system matrix; check for voltage-source loops "
              "or current-source cutsets")
+
+
+def _conductance(el: Element, cfg: SimConfig | None) -> float | None:
+    """The conductance of an element's branch in G: its companion
+    conductance in the table above under ``cfg``'s method and dt, or at DC
+    for ``cfg=None``, where a capacitor leaks ``GMIN``.  0.0 for a current
+    source; None where the branch current is itself an unknown: a voltage
+    source, and at DC an inductor."""
+    if isinstance(el, Resistor):
+        return 1.0 / el.ohms
+    k = 2.0 if cfg is not None and cfg.method == "trapezoidal" else 1.0
+    if isinstance(el, Capacitor):
+        return GMIN if cfg is None else k * el.farads / cfg.dt
+    if isinstance(el, Inductor):
+        return None if cfg is None else cfg.dt / (k * el.henries)
+    return None if isinstance(el, VoltageSource) else 0.0
 
 
 @dataclass(frozen=True)
@@ -196,24 +213,26 @@ def _checked_network(net: Network) -> None:
             f"nodes {floating} have no path to reference {net.reference!r}")
 
 
-def _assemble(net: Network, conductance: Callable[[Element], float | None]
-              ) -> tuple[dict[str, int], np.ndarray, np.ndarray, np.ndarray]:
-    """Modified-nodal matrix of ``net`` from its boundary operator.
+def _assemble(net: Network, cfg: SimConfig | None
+              ) -> tuple[dict[str, int], np.ndarray, np.ndarray, np.ndarray,
+                         list[int]]:
+    """Check ``net``, then build its modified-nodal matrix from its boundary
+    operator, for the transient on ``cfg`` or, for ``cfg=None``, at DC.
 
-    ``conductance(element)`` is a branch's conductance, 0.0 for nothing
-    (a current source), or None when the branch current is itself an
-    unknown.  With A the incidence matrix without the reference row (+1
-    at a branch's start node, -1 at its end), g the conductances (0.0
-    for None) and A_x the columns of the current unknowns, in branch
-    order,
+    With A the incidence matrix without the reference row (+1 at a
+    branch's start node, -1 at its end), g the ``_conductance`` of each
+    branch (0.0 for None) and A_x the columns of the current unknowns, in
+    branch order,
 
         G = [[A diag(g) A^T, A_x], [A_x^T, 0]]
 
-    Returns the row map (the reference is -1), G, A and g.  An element
-    value whose conductance is not finite, or conductances whose sum at a
-    node is not, is a SimulationError.
+    Returns the row map (the reference is -1), G, A, g and the branch
+    indices of the current unknowns.  An element value whose conductance
+    is not finite, or conductances whose sum at a node is not, is a
+    SimulationError.
     """
-    cond = [conductance(br.element) for br in net.branches]
+    _checked_network(net)
+    cond = [_conductance(br.element, cfg) for br in net.branches]
     g = np.array([gk or 0.0 for gk in cond])
     bad = np.flatnonzero(~np.isfinite(g))
     if bad.size:
@@ -224,7 +243,8 @@ def _assemble(net: Network, conductance: Callable[[Element], float | None]
             "out of range")
     keep = [k for k, label in enumerate(net.nodes) if label != net.reference]
     A = (-boundary(net).matrix[keep]).astype(np.float64)
-    A_x = A[:, [k for k, gk in enumerate(cond) if gk is None]]
+    cur = [k for k, gk in enumerate(cond) if gk is None]
+    A_x = A[:, cur]
     n_v = len(keep)
     G = np.zeros((n_v + A_x.shape[1],) * 2)
     with np.errstate(over="ignore"):
@@ -236,7 +256,7 @@ def _assemble(net: Network, conductance: Callable[[Element], float | None]
     G[n_v:, :n_v] = A_x.T
     row = {net.nodes[k]: r for r, k in enumerate(keep)}
     row[net.reference] = -1
-    return row, G, A, g
+    return row, G, A, g, cur
 
 
 def _source_samples(br: Branch, times: np.ndarray) -> np.ndarray:
@@ -338,19 +358,8 @@ def compile_step(net: Network, cfg: SimConfig) -> CompiledStep:
     The step is linear in (z, s), so its response to unit vectors gives
     the maps of :class:`CompiledStep`.
     """
-    _checked_network(net)
     trap = cfg.method == "trapezoidal"
-
-    def companion(el: Element) -> float | None:
-        if isinstance(el, Resistor):
-            return 1.0 / el.ohms
-        if isinstance(el, Capacitor):
-            return (2.0 * el.farads / cfg.dt) if trap else (el.farads / cfg.dt)
-        if isinstance(el, Inductor):
-            return (cfg.dt / (2.0 * el.henries)) if trap else (cfg.dt / el.henries)
-        return None if isinstance(el, VoltageSource) else 0.0
-
-    row, G, A, g = _assemble(net, companion)
+    row, G, A, g, _ = _assemble(net, cfg)
     n_v = len(A)
     index = {kind: np.array([k for k, br in enumerate(net.branches)
                              if isinstance(br.element, kind)], dtype=np.intp)
@@ -403,11 +412,17 @@ def transient(net: Network, cfg: SimConfig,
     :func:`dc_operating_point` first to start from steady state.
     """
     step = compile_step(net, cfg)
+    A, g_br = step.A, step.g[:, None]
+    n_v, n_z = len(A), len(step.M)
+    # The supplied state: the reference node's row of -1 writes into the
+    # spare last slot of v0, which must stay 0.
     initial = initial or InitialCondition()
-    for quantity, owner, owners, given, known in (
-            ("voltage", "node", "nodes", initial.node_voltages, net.nodes),
-            ("current", "branch", "branches", initial.branch_currents, net.branch_ids)):
-        unknown = set(given) - set(known)
+    v0, i0 = np.zeros(n_v + 1), np.zeros(len(net.branches))
+    for quantity, owner, owners, given, slot, state in (
+            ("voltage", "node", "nodes", initial.node_voltages, step.row, v0),
+            ("current", "branch", "branches", initial.branch_currents,
+             {label: k for k, label in enumerate(net.branch_ids)}, i0)):
+        unknown = set(given) - set(slot)
         if unknown:
             raise SimulationError(
                 f"initial {quantity}s name unknown {owners} {sorted(unknown)}")
@@ -415,6 +430,10 @@ def transient(net: Network, cfg: SimConfig,
             if not math.isfinite(float(value)):
                 raise SimulationError(f"initial {quantity} of {owner} {label!r} "
                                       f"must be finite, got {value}")
+            state[slot[label]] = float(value)
+    if v0[-1]:
+        raise SimulationError("reference node voltage must be 0")
+    v0 = v0[:-1]
 
     steps = cfg.steps
     # node voltages but the reference's, branch currents and the time grid
@@ -424,8 +443,6 @@ def transient(net: Network, cfg: SimConfig,
     res_idx, cap_idx, ind_idx, isrc_idx, vsrc_idx = step.index.values()
     sources = [_source_samples(net.branches[k], times)
                for k in (*isrc_idx, *vsrc_idx)]
-    A, g_br = step.A, step.g[:, None]
-    n_v, n_z = len(A), len(step.M)
     n_c, n_i = len(cap_idx), len(isrc_idx)
     # State layout: cap_u, cap_i, ind_u, ind_i.
     cap_i_rows = slice(n_c, 2 * n_c)
@@ -442,15 +459,6 @@ def transient(net: Network, cfg: SimConfig,
 
     # The t = 0 column is the supplied state: v0, the supplied currents,
     # g*u0 through each resistor and s(0) through each current source.
-    v0 = np.zeros(n_v)
-    for label, volt in initial.node_voltages.items():
-        r = step.row[label]
-        if r >= 0:
-            v0[r] = float(volt)
-        elif volt:
-            raise SimulationError("reference node voltage must be 0")
-    i0 = np.array([float(initial.branch_currents.get(br.id, 0.0))
-                   for br in net.branches])
     with np.errstate(over="ignore", invalid="ignore"):
         u0 = A.T @ v0
         g_u0 = step.g * u0
@@ -545,16 +553,7 @@ def dc_operating_point(net: Network) -> InitialCondition:
     stay solvable.  The result feeds :func:`transient` as its initial
     condition, including the source currents for the t = 0 record.
     """
-    _checked_network(net)
-
-    def static(el: Element) -> float | None:
-        if isinstance(el, Resistor):
-            return 1.0 / el.ohms
-        if isinstance(el, Capacitor):
-            return GMIN
-        return None if isinstance(el, (Inductor, VoltageSource)) else 0.0
-
-    row, G, A, _ = _assemble(net, static)
+    row, G, A, _, cur = _assemble(net, None)
     n_v = len(A)
     at_zero = {}
     for k, br in enumerate(net.branches):
@@ -568,7 +567,6 @@ def dc_operating_point(net: Network) -> InitialCondition:
                     f"{value.t_end:g}] s, which misses the operating point at t = 0")
             at_zero[k] = el.value_at(0.0)
     isrc = [k for k in at_zero if isinstance(net.branches[k].element, CurrentSource)]
-    cur = [k for k, br in enumerate(net.branches) if static(br.element) is None]
     # Current sources drive their nodes; a voltage source's row holds its
     # value and an inductor's (a zero-volt source at DC) holds 0.
     rhs = np.concatenate([A[:, isrc] @ -np.array([at_zero[k] for k in isrc]),

@@ -81,7 +81,8 @@ def test_simulate_run_writes_artifacts(tmp_path, capsys):
     net_file = tmp_path / "driver.net"
     rc = cli.main(["simulate", "--config", str(CONFIGS / "pulse600.cfg"),
                    "--out", str(out), "--plot", str(svg),
-                   "--emit-netlist", str(net_file), "--probe", "v:tee"])
+                   "--emit-netlist", str(net_file), "--probe", "v:tee",
+                   "--probe", "i:LD_L"])
     assert rc == 0
     rows = kv(capsys.readouterr().out)
     assert first_number(rows["peak current"]) == pytest.approx(41.5e-3, rel=0.02)
@@ -92,14 +93,11 @@ def test_simulate_run_writes_artifacts(tmp_path, capsys):
     assert wave.unit == "A"
     assert svg.read_text(encoding="ascii").startswith("<svg")
     assert "IBIAS" in net_file.read_text(encoding="ascii")
-    probe_file = tmp_path / "pulse_v_tee.csv"
-    assert probe_file.exists()
-    assert len(read_waveform_csv(probe_file)) == 6001
+    for name in ("pulse_v_tee.csv", "pulse_i_LD_L.csv"):
+        assert len(read_waveform_csv(tmp_path / name)) == 6001
 
 
-def test_identical_runs_are_byte_identical(tmp_path, capsys):
-    cfg = tmp_path / "small.cfg"
-    cfg.write_text("""
+SMALL_CONFIG = """
 bias = 31mA
 amplitude = 10.5mA
 width = 600ps
@@ -112,7 +110,12 @@ R_spon = 2.811mohm
 R_o = -5.511mohm
 t_end = 3ns
 dt = 2ps
-""", encoding="ascii")
+"""
+
+
+def test_identical_runs_are_byte_identical(tmp_path, capsys):
+    cfg = tmp_path / "small.cfg"
+    cfg.write_text(SMALL_CONFIG, encoding="ascii")
     artifacts = []
     for k in (1, 2):
         out = tmp_path / f"run{k}.csv"
@@ -123,6 +126,34 @@ dt = 2ps
     capsys.readouterr()
     assert artifacts[0][0] == artifacts[1][0]
     assert artifacts[0][1] == artifacts[1][1]
+
+
+def test_detector_rise_filters_what_is_compared(tmp_path, capsys):
+    # simulate --detector-rise writes the filtered sense current, and
+    # kstest --detector-rise tests the filtered inputs: both equal the
+    # filter applied to the unfiltered files (the CSVs round-trip exactly).
+    cfg = tmp_path / "small.cfg"
+    cfg.write_text(SMALL_CONFIG, encoding="ascii")
+    raw, filtered = tmp_path / "raw.csv", tmp_path / "filtered.csv"
+    assert cli.main(["simulate", "--config", str(cfg), "--out", str(raw)]) == 0
+    assert cli.main(["simulate", "--config", str(cfg), "--out", str(filtered),
+                     "--detector-rise", "50ps"]) == 0
+    expected = pulsenet.detector_filter(read_waveform_csv(raw), 50e-12)
+    assert np.array_equal(read_waveform_csv(filtered).samples, expected.samples)
+
+    for name, sigma in (("narrow", 100e-12), ("wide", 150e-12)):
+        wave = gaussian_wave(sigma, 5e-12)
+        write_waveform_csv(tmp_path / f"{name}.csv", wave)
+        write_waveform_csv(tmp_path / f"{name}_f.csv",
+                           pulsenet.detector_filter(wave, 50e-12))
+    capsys.readouterr()
+    assert cli.main(["kstest", str(tmp_path / "narrow.csv"), str(tmp_path / "wide.csv"),
+                     "--detector-rise", "50ps"]) == 0
+    direct = capsys.readouterr().out
+    assert cli.main(["kstest", str(tmp_path / "narrow_f.csv"),
+                     str(tmp_path / "wide_f.csv")]) == 0
+    assert capsys.readouterr().out == direct
+    assert kv(direct)["same_distribution"] == "false"
 
 
 def test_sweep_run_writes_summary(tmp_path, capsys):
@@ -284,6 +315,24 @@ def test_biased_pulse_names_the_baseline(tmp_path, capsys):
     assert "baseline" in capsys.readouterr().err
     assert cli.main(["kstest", str(path), str(path)]) == 1
     assert "baseline" in capsys.readouterr().err
+    # compare still measures the delay, and says which widths it cannot
+    assert cli.main(["compare", str(path), str(path), "--level", "0.035"]) == 0
+    rows = kv(capsys.readouterr().out)
+    assert first_number(rows["delay at level"]) == 0.0
+    for name in ("first", "second"):
+        assert rows[name] == ("fwhm unmeasurable against a zero baseline "
+                              "(use --baseline)")
+    # --baseline removes the bias from both inputs of compare and kstest
+    assert cli.main(["compare", str(path), str(path), "--level", "0.004",
+                     "--baseline", "0s", "1ns"]) == 0
+    rows = kv(capsys.readouterr().out)
+    assert first_number(rows["delay at level"]) == 0.0
+    assert rows["first"] == rows["second"]
+    assert first_number(rows["first"].split("fwhm ")[1]) == pytest.approx(
+        FWHM_PER_SIGMA * 150e-12, abs=5e-12)
+    assert cli.main(["kstest", str(path), str(path), "--baseline", "0s", "1ns"]) == 0
+    rows = kv(capsys.readouterr().out)
+    assert (rows["d_stat"], rows["same_distribution"]) == ("0", "true")
 
 
 def test_domain_errors_exit_one(tmp_path, capsys):
@@ -318,46 +367,58 @@ def test_unreadable_quantity_flag_is_named(tmp_path, capsys):
                                  "--detector-rise", "1e999s"])):
         assert cli.main(argv) == 1
         assert capsys.readouterr().err == f"error: {flag}: {why}\n"
+    assert cli.main(["metrics", str(path), "--baseline", "0s", "1V"]) == 1
+    assert capsys.readouterr().err == (
+        "error: --baseline needs a quantity in 's', got '1V'\n")
 
 
-def count_driver_runs(monkeypatch):
-    """Record each ``run_driver`` call, which still runs."""
+def count_transients(monkeypatch):
+    """Record each ``simulate.transient`` call, which still runs."""
     calls = []
-    real = pulsenet.simulate.run_driver
+    real = pulsenet.simulate.transient
 
-    def run_driver(*args, **kwargs):
+    def transient(*args, **kwargs):
         calls.append(args)
         return real(*args, **kwargs)
 
-    monkeypatch.setattr(pulsenet.simulate, "run_driver", run_driver)
+    monkeypatch.setattr(pulsenet.simulate, "transient", transient)
     return calls
 
 
 def test_simulate_reads_its_flags_before_the_run(tmp_path, capsys, monkeypatch):
-    calls = count_driver_runs(monkeypatch)
+    calls = count_transients(monkeypatch)
     out = tmp_path / "x.csv"
-    assert cli.main(["simulate", "--config", str(CONFIGS / "pulse600.cfg"),
-                     "--out", str(out), "--detector-rise", "1e999s"]) == 1
-    assert capsys.readouterr().err == (
-        "error: --detector-rise: '1e999s' is outside the float range "
-        "(it would read as inf)\n")
+    for rise, err in (
+            ("1e999s", "error: --detector-rise: '1e999s' is outside the float "
+                       "range (it would read as inf)\n"),
+            ("0s", "error: rise time must be > 0 s, got 0.0\n")):
+        assert cli.main(["simulate", "--config", str(CONFIGS / "pulse600.cfg"),
+                         "--out", str(out), "--detector-rise", rise]) == 1
+        assert capsys.readouterr().err == err
     assert calls == []
     assert not out.exists()
 
 
 def test_simulate_writes_nothing_for_an_unknown_probe(tmp_path, capsys,
                                                       monkeypatch):
-    # Probe names come from the assembled network, so they are checked
-    # after the run, but before the first file is written.
-    calls = count_driver_runs(monkeypatch)
-    assert cli.main(["simulate", "--config", str(CONFIGS / "pulse600.cfg"),
-                     "--out", str(tmp_path / "x.csv"), "--probe", "i:NOPE",
-                     "--emit-netlist", str(tmp_path / "n.net")]) == 1
-    captured = capsys.readouterr()
-    assert captured.err == "error: unknown probe branch 'NOPE'\n"
-    assert captured.out == ""
-    assert len(calls) == 1
+    # Probe names are checked against the network before the run.
+    calls = count_transients(monkeypatch)
+    for probe, err in (("i:NOPE", "error: unknown probe branch 'NOPE'\n"),
+                       ("v:NOPE", "error: unknown probe node 'NOPE'\n")):
+        assert cli.main(["simulate", "--config", str(CONFIGS / "pulse600.cfg"),
+                         "--out", str(tmp_path / "x.csv"), "--probe", probe,
+                         "--emit-netlist", str(tmp_path / "n.net")]) == 1
+        captured = capsys.readouterr()
+        assert captured.err == err
+        assert captured.out == ""
+    assert calls == []
     assert list(tmp_path.iterdir()) == []
+    # and the counter does see a run's one transient
+    cfg = tmp_path / "small.cfg"
+    cfg.write_text(SMALL_CONFIG, encoding="ascii")
+    assert cli.main(["simulate", "--config", str(cfg), "--out",
+                     str(tmp_path / "x.csv"), "--probe", "v:tee"]) == 0
+    assert len(calls) == 1
 
 
 def test_uncountable_step_count_is_an_error_not_a_traceback(tmp_path):

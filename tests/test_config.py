@@ -187,6 +187,9 @@ def test_shipped_simulate_config_parses():
     # Defaults fill in what the file leaves out.
     assert cfg["shape"] == "trapezoid"
     assert cfg["bias_tee"] is True
+    text = (CONFIGS / "pulse600.cfg").read_text(encoding="ascii")
+    cfg = parse_config_text(text + "bias_tee = false\n", SIMULATE_KEYS)
+    assert driver_kwargs_from(cfg)["bias_tee"] is False
 
 
 def test_shipped_physics_config_parses():

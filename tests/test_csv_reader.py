@@ -123,6 +123,8 @@ EDGE_FILES = {
     "blank-lines-before-a-bad-row": ("0,1\n\n1,1\n\n2.5,1\n3,1\n",
                                      (5, "non-uniform sampling at data row 3"),
                                      "same"),
+    "empty-lines-before-a-bad-row": ("time_s,value\n0,1\n\n\n\n\n\n\n1,x\n",
+                                     (9, "non-numeric field in '1,x'"), "same"),
     "whitespace-line-in-body": ("time_s,value\n0,1\n  \n1,2\n2,3\n",
                                 (3, "whitespace-only line '  '"), "accepts"),
     "unit-line-in-body": ("# unit = A\ntime_s,value\n0,1\n# unit = V\n1,2\n2,3\n",

@@ -140,6 +140,10 @@ def test_baseline_window_over_the_pulse_warns():
     pulse = gaussian_wave(sigma, dt, center=1.5e-9, half_span=1.5e-9)
     with pytest.warns(UserWarning, match="looks like it\ncontains signal|contains signal"):
         baseline_subtract(pulse, (1.3e-9, 1.7e-9))
+    # a window at the end of the record is compared with the stretch before it
+    late = gaussian_wave(sigma, dt, center=2.75e-9, half_span=1.5e-9)
+    with pytest.warns(UserWarning, match="contains signal"):
+        baseline_subtract(late, (2.5e-9, 3e-9))
 
 
 def test_delay_of_a_waveform_against_itself_is_zero():
