@@ -196,8 +196,9 @@ def _cmd_sweep(args) -> int:
         out_dir.mkdir(parents=True, exist_ok=True)
         for k, (_, sense) in enumerate(runs):
             write_waveform_csv(out_dir / f"run_{k:03d}.csv", sense)
+        summary = np.array([astuple(p) for p, _ in runs], dtype=np.float64)
         write_rows_csv(out_dir / "summary.csv", [",".join(columns)],
-                       [astuple(p) for p, _ in runs])
+                       len(summary), lambda a, b: summary[a:b])
         print(f"wrote {len(runs)} runs to {out_dir}")
     return 0
 
@@ -292,8 +293,9 @@ def _cmd_kstest(args) -> int:
         cdf_b = kstest.ecdf(sb)
         # + 0.0 turns a -0.0 into 0.0, which prints as 0
         xs = np.unique(np.concatenate([sa, sb])) + 0.0
-        write_rows_csv(args.emit_cdf, ["x,F_a,F_b"],
-                       np.column_stack((xs, cdf_a(xs), cdf_b(xs))))
+        write_rows_csv(args.emit_cdf, ["x,F_a,F_b"], len(xs),
+                       lambda a, b: np.column_stack(
+                           (xs[a:b], cdf_a(xs[a:b]), cdf_b(xs[a:b]))))
         print(f"wrote {args.emit_cdf}")
     return 0
 

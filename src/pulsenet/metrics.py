@@ -13,6 +13,7 @@ Every routine assumes one dominant positive pulse; violations raise
 
 from __future__ import annotations
 
+import math
 import warnings
 from dataclasses import dataclass
 
@@ -143,8 +144,16 @@ def baseline_subtract(wave: Waveform, window: tuple[float, float]) -> Waveform:
 
 
 def _crossing(s: np.ndarray, k: int, level: float) -> float:
-    """Index at which ``s`` crosses ``level`` between samples k and k + 1."""
-    return k + (level - s[k]) / (s[k + 1] - s[k])
+    """Index at which ``s`` crosses ``level`` between samples k and k + 1.
+
+    Samples more than the float range apart are halved first, which is
+    exact at their size, so their step does not overflow (as Python
+    floats, the step that does is inf without a warning)."""
+    lo, hi = float(s[k]), float(s[k + 1])
+    step = hi - lo
+    if math.isinf(step):
+        return k + (0.5 * level - 0.5 * lo) / (0.5 * hi - 0.5 * lo)
+    return k + (level - lo) / step
 
 
 def _rising_crossing(wave: Waveform, level: float, which: str) -> float:

@@ -648,6 +648,10 @@ def sweep_runs(spec: StimulusSpec, circ: LaserCircuit, param: str,
     return runs
 
 
+#: Samples per block of detector_filter's loop.
+_FILTER_BLOCK = 8192
+
+
 def detector_filter(wave: Waveform, rise_time: float) -> Waveform:
     """Single-pole response of a detector with the given 10-90 rise time.
 
@@ -661,12 +665,16 @@ def detector_filter(wave: Waveform, rise_time: float) -> Waveform:
     c = 1.0 - math.exp(-wave.dt / tau)
     # y[k] = c x[k] + (1 - c) y[k-1], in the operation order of the
     # transposed direct form (scipy.signal.lfilter), started settled.
+    # The loop runs on Python floats, of which one block is alive at a time.
     a = 1.0 - c
-    x = wave.samples.tolist()
-    y = []
-    z = a * x[0]
-    for xk in x:
-        yk = c * xk + z
-        y.append(yk)
-        z = a * yk
-    return wave.with_samples(y)
+    out = np.empty(len(wave))
+    z = a * float(wave.samples[0])
+    for lo in range(0, len(out), _FILTER_BLOCK):
+        y = []
+        for xk in wave.samples[lo:lo + _FILTER_BLOCK].tolist():
+            yk = c * xk + z
+            y.append(yk)
+            z = a * yk
+        out[lo:lo + len(y)] = y
+    out.setflags(write=False)
+    return wave.with_samples(out)

@@ -20,18 +20,20 @@ field are allowed, and so are CRLF line endings.
 The writer's contract: every field's bytes equal ``'%.17g' % x``, so
 files are the same whichever path formats them.  ``write_rows_csv``
 (which also writes the CLI's ``summary.csv`` and ``--emit-cdf`` files)
-formats blocks of 8192 rows with a numpy kernel.  Per value it finds
-the exact decimal exponent e, rounds |x| * 10**(16 - e) to the 17-digit
-integer D from a double-double product (Dekker 1971) with the powers
-of ten as (hi, lo) pairs from exact integers, and lays D out by the
-``%g`` rules: fixed notation for exponents -4 to 16, ``d.ddde±XX``
-otherwise, trailing zeros and a bare point dropped, ``-0`` for -0.0.
-A rounding tie is decided to even where 10**(16 - e) is a double.  The
-kernel leaves a whole block to ``%`` when the block holds a value that
-is neither zero nor within 1e-280 <= |x| < 1e280 (subnormals, the ends
-of the range, inf, nan), or one whose scaled fraction lies within 1e-9
-of 1/2 while 10**(16 - e) is not a double; the product is within 1e-14
-of exact there.  Its tables are built on the first write, not at import.
+builds and formats one block of 2048 rows at a time with a numpy
+kernel, so a write holds about 2 MB besides its input, whatever the
+file's length.  Per value the kernel finds the exact decimal exponent
+e, rounds |x| * 10**(16 - e) to the 17-digit integer D from a
+double-double product (Dekker 1971) with the powers of ten as (hi, lo)
+pairs from exact integers, and lays D out by the ``%g`` rules: fixed
+notation for exponents -4 to 16, ``d.ddde±XX`` otherwise, trailing
+zeros and a bare point dropped, ``-0`` for -0.0.  A rounding tie is
+decided to even where 10**(16 - e) is a double.  The kernel leaves a
+whole block to ``%`` when the block holds a value that is neither zero
+nor within 1e-280 <= |x| < 1e280 (subnormals, the ends of the range,
+inf, nan), or one whose scaled fraction lies within 1e-9 of 1/2 while
+10**(16 - e) is not a double; the product is within 1e-14 of exact
+there.  Its tables are built on the first write, not at import.
 """
 
 from __future__ import annotations
@@ -161,28 +163,39 @@ def write_waveform_csv(path, wave: Waveform) -> None:
         lines.append(f"# unit = {wave.unit}")
     lines.append(f"# dt = {wave.dt:.17g}")
     lines.append("time_s,value")
-    write_rows_csv(path, lines, np.column_stack((wave.times(), wave.samples)))
+
+    def rows(a: int, b: int) -> np.ndarray:
+        # Waveform.times()'s formula on the block's own indices.
+        times = wave.t0 + wave.dt * np.arange(a, b, dtype=np.float64)
+        return np.column_stack((times, wave.samples[a:b]))
+
+    write_rows_csv(path, lines, len(wave), rows)
 
 
-def write_rows_csv(path, header, rows: np.ndarray) -> None:
-    """Write the ``header`` lines, then each row of the 2-D float array
-    ``rows`` as its fields in ``%.17g``, comma-separated, one per line.
+def write_rows_csv(path, header, n_rows: int, rows) -> None:
+    """Write the ``header`` lines, then ``n_rows`` rows of floats as their
+    fields in ``%.17g``, comma-separated, one per line.
 
-    Every field's bytes equal ``'%.17g' % x``; the module docstring says
-    how the rows are formatted.
+    ``rows(a, b)`` gives rows a to b - 1 as a 2-D float array; it is
+    called once per block of at most ``_BLOCK_ROWS`` rows, so a file
+    never holds more than one block in memory.  Every field's bytes
+    equal ``'%.17g' % x``; the module docstring says how the rows are
+    formatted.
     """
-    rows = np.asarray(rows, dtype=np.float64)
     head = "".join(line + "\n" for line in header).encode("utf-8")
     with open(path, "wb") as fh:
         fh.write(head)
-        for a in range(0, len(rows), _BLOCK_ROWS):
-            block = rows[a:a + _BLOCK_ROWS]
+        for a in range(0, n_rows, _BLOCK_ROWS):
+            block = np.asarray(rows(a, min(a + _BLOCK_ROWS, n_rows)),
+                               dtype=np.float64)
             out = _kernel_rows(block)
             fh.write(_percent_rows(block) if out is None else out)
 
 
-#: Rows formatted per call of the kernel (and per write).
-_BLOCK_ROWS = 8192
+#: Rows built and formatted per call of the kernel (and per write).  The
+#: kernel's temporaries take about 480 B per value, 2 MB for a block of
+#: two columns; smaller blocks write 100k rows more slowly.
+_BLOCK_ROWS = 2048
 
 #: The kernel formats zero and every |x| in [1e-280, 1e280); there the
 #: powers of ten, their splits and every partial product stay normal.
@@ -482,14 +495,21 @@ def _read(path: Path) -> Waveform:
     if not (math.isfinite(dt) and dt > 0.0):
         raise WaveformError(f"{path}: non-increasing time column")
 
-    # Uniformity check against the nominal grid, reporting the first bad row.
-    grid = t_arr[0] + dt * np.arange(len(t_arr))
-    bad = np.flatnonzero(np.abs(t_arr - grid) > DT_UNIFORMITY_RTOL * dt)
+    # Uniformity check against the nominal grid t0 + k*dt, reporting the
+    # first bad row.  The deviations are built in the grid's own array,
+    # which is freed before Waveform copies the sample column.
+    dev = np.arange(len(t_arr), dtype=np.float64)
+    dev *= dt
+    dev += t_arr[0]
+    dev -= t_arr
+    np.abs(dev, out=dev)
+    bad = np.flatnonzero(dev > DT_UNIFORMITY_RTOL * dt)
     if bad.size:
         k = int(bad[0])
         lineno = first + [i for i, s in enumerate(_data_lines(path, first)) if s][k]
         raise WaveformError(
             f"{path}:{lineno}: non-uniform sampling at data row {k + 1} "
-            f"(t={t_arr[k]:.17g}, expected {grid[k]:.17g})")
+            f"(t={t_arr[k]:.17g}, expected {t_arr[0] + dt * k:.17g})")
+    del dev
 
     return Waveform(float(t_arr[0]), float(dt), rows[:, 1], unit)

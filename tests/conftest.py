@@ -1,6 +1,7 @@
 """Shared fixtures and builders for the test suite."""
 
 import math
+import tracemalloc
 
 import numpy as np
 
@@ -72,3 +73,13 @@ def triangle_wave(base, dt, center=None, t0=0.0, amplitude=1.0):
     t = t0 + dt * np.arange(n)
     s = amplitude * np.clip(1.0 - np.abs(t - center) / (0.5 * base), 0.0, None)
     return Waveform(t0, dt, s)
+
+
+def traced_peak(fn, *args):
+    """Bytes at the tracemalloc peak of one call of ``fn(*args)``."""
+    tracemalloc.start()
+    try:
+        fn(*args)
+        return tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()

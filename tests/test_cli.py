@@ -303,6 +303,18 @@ def test_kstest_distinct_shapes_still_exit_zero(tmp_path, capsys):
     assert float(rows["p_value"]) < 0.05
 
 
+@pytest.mark.filterwarnings("error")
+def test_metrics_of_samples_more_than_the_float_range_apart(tmp_path, capsys):
+    path = tmp_path / "huge.csv"
+    write_waveform_csv(path, pulsenet.Waveform(0.0, 1.0,
+                                               [-1.7e308, 1.7e308, -1.7e308]))
+    assert cli.main(["metrics", str(path)]) == 0
+    out, err = capsys.readouterr()
+    rows = kv(out)
+    assert (rows["fwhm"], rows["half crossings"]) == ("0.5 s", "0.75 s, 1.25 s")
+    assert err == ""
+
+
 def test_biased_pulse_names_the_baseline(tmp_path, capsys):
     # A pulse still riding on its bias never falls to half its peak;
     # the error says so instead of blaming a clipped record.

@@ -12,8 +12,8 @@ from pulsenet import (Branch, Capacitor, CurrentSource, InitialCondition,
                       SimConfig, SimulationError, SweepPoint, Waveform,
                       boundary, dc_operating_point, detector_filter,
                       driver_network, fwhm, run_driver, sense_current,
-                      stimulus, sweep_runs, transient)
-from conftest import BIAS, ELEMENT_TABLE, pulse_spec
+                      simulate, stimulus, sweep_runs, transient)
+from conftest import BIAS, ELEMENT_TABLE, pulse_spec, traced_peak
 
 
 def circuit():
@@ -257,7 +257,7 @@ def test_detector_filter_passthrough_limit():
         detector_filter(wave, 0.0)
 
 
-@pytest.mark.parametrize("n", [6001, 100_000])
+@pytest.mark.parametrize("n", [6001, 100_000, 3 * simulate._FILTER_BLOCK + 7])
 def test_detector_filter_matches_lfilter_bit_for_bit(n):
     signal = pytest.importorskip("scipy.signal")
     from pulsenet import Waveform
@@ -270,6 +270,14 @@ def test_detector_filter_matches_lfilter_bit_for_bit(n):
     ref, _ = signal.lfilter([c], [1.0, -(1.0 - c)], x, zi=[(1.0 - c) * x[0]])
     assert np.array_equal(out.samples, ref)
     assert (out.t0, out.dt, out.unit) == (wave.t0, wave.dt, wave.unit)
+
+
+def test_detector_filter_holds_one_block_besides_its_output():
+    wave = Waveform(0.0, 1e-12, np.random.default_rng(4).normal(
+        31e-3, 5e-3, size=200_001), "A")
+    detector_filter(wave, 500e-12)
+    peak = traced_peak(detector_filter, wave, 500e-12)
+    assert peak <= 2 * wave.samples.nbytes + 1_000_000
 
 
 def test_backward_euler_dissipates_stored_energy():

@@ -93,6 +93,17 @@ def test_clipped_pulses_are_rejected():
         fwhm(falling)
 
 
+@pytest.mark.filterwarnings("error")
+def test_crossing_between_samples_more_than_the_float_range_apart():
+    # s[k + 1] - s[k] overflows; halving both samples first does not.
+    wave = Waveform(0.0, 1.0, [-1.7e308, 1.7e308, -1.7e308])
+    m = fwhm(wave)
+    assert m.half_crossings == pytest.approx((0.75, 1.25), abs=1e-15)
+    assert m.fwhm == pytest.approx(0.5, abs=1e-15)
+    rising = Waveform(0.0, 1.0, [-1.7e308, 1.7e308])
+    assert delay_at_level(Waveform(0.0, 1.0, [-1.0, 1.0]), rising, 0.0) == 0.0
+
+
 def test_equal_maxima_warn_and_use_the_earliest():
     dt = 1e-12
     s = np.zeros(200)

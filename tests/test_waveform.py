@@ -7,6 +7,7 @@ from hypothesis import strategies as st
 
 from pulsenet import Waveform, WaveformError, read_waveform_csv, write_waveform_csv
 from pulsenet import waveform
+from conftest import traced_peak
 
 
 def test_basic_properties():
@@ -220,6 +221,46 @@ def test_block_outside_the_kernel_is_formatted_by_percent(tmp_path, value):
     assert [waveform._kernel_rows(b) is None for b in blocks] == [False, True, False]
     write_waveform_csv(tmp_path / "mixed.csv", w)
     assert (tmp_path / "mixed.csv").read_bytes() == per_row_csv(w)
+
+
+@pytest.mark.parametrize("blocks, extra", [(1, -1), (1, 0), (1, 1), (3, 7)])
+def test_writer_matches_the_per_row_formatter_across_block_edges(
+        tmp_path, blocks, extra):
+    """Files of B - 1, B, B + 1 and 3B + 7 rows (B = _BLOCK_ROWS), with
+    the BOUNDARY values across every block edge and the file's ends: in
+    the kernel's range at every other edge, all of them (so the blocks
+    go to ``%``) at the rest."""
+    n = blocks * waveform._BLOCK_ROWS + extra
+    samples = np.linspace(-1.0, 1.0, n) * 1e-3
+    inside = [x for x in BOUNDARY
+              if x == 0.0 or waveform._KERNEL_MIN <= abs(x) < waveform._KERNEL_MAX]
+    edges = [*range(0, n, waveform._BLOCK_ROWS), n]
+    for j, edge in enumerate(edges):
+        values = inside if j % 2 == 0 else BOUNDARY
+        a = min(max(edge - len(values) // 2, 0), n - len(values))
+        samples[a:a + len(values)] = values
+    w = Waveform(-3.7e-9, 0.8137e-12, samples, "A")
+    path = tmp_path / "edges.csv"
+    write_waveform_csv(path, w)
+    assert path.read_bytes() == per_row_csv(w)
+
+
+def test_writer_memory_does_not_grow_with_the_record(tmp_path):
+    """The writer holds one block of rows, never the whole file's."""
+    rng = np.random.default_rng(8)
+    write_waveform_csv(tmp_path / "warm.csv", Waveform(0.0, 1e-12, [0.0, 1.0]))
+    for n in (200_001, 2_000_001):
+        w = Waveform(1e-9, 1e-12, rng.normal(31e-3, 5e-3, size=n), "A")
+        assert traced_peak(write_waveform_csv, tmp_path / "w.csv", w) <= 2_500_000
+
+
+def test_reader_memory_is_the_rows_and_one_copy_of_the_samples(tmp_path):
+    rng = np.random.default_rng(9)
+    path = tmp_path / "w.csv"
+    write_waveform_csv(path, Waveform(1e-9, 1e-12,
+                                      rng.normal(31e-3, 5e-3, size=200_001), "A"))
+    read_waveform_csv(path)
+    assert traced_peak(read_waveform_csv, path) <= 6_400_000
 
 
 def test_exact_ties_round_to_even_in_the_kernel():
