@@ -1,13 +1,15 @@
 """Two-sample Kolmogorov-Smirnov indistinguishability test.
 
-The statistic D = sup |F_a - F_b| is computed exactly, from one linear
-merge of the two sorted samples: walking the pooled values in order,
-a running sum that adds n for each value of the first sample and
-subtracts m for each of the second is i*n - j*m, with i and j the
-counts of values at or below the current one.  Read at the last
-position of each run of equal values, so that ties accumulate first,
-its largest magnitude over m*n is D, a ratio of integers with no
-accumulated float error.  The p-value uses the asymptotic Kolmogorov
+The statistic D = sup |F_a - F_b| is computed exactly, from a merge of
+the two sorted samples walked in blocks of a fixed size: walking the
+pooled values in order, a running sum that adds n for each value of the
+first sample and subtracts m for each of the second is i*n - j*m, with i
+and j the counts of values at or below the current one.  Read at the
+last position of each run of equal values, so that ties accumulate
+first, its largest magnitude over m*n is D, a ratio of integers with no
+accumulated float error.  A run longer than a block is one scalar step,
+from two binary searches, so the walk holds the two sorted samples and
+one block whatever the ties.  The p-value uses the asymptotic Kolmogorov
 distribution
 
     Q(lambda) = 2 * sum_{k>=1} (-1)^(k-1) exp(-2 k^2 lambda^2)
@@ -28,6 +30,10 @@ import numpy as np
 from .errors import StatsError
 from .metrics import fwhm, normalize_align
 from .waveform import Waveform
+
+
+#: Values per sample in one block of the KS merge.
+_KS_BLOCK = 8192
 
 
 @dataclass(frozen=True, eq=False)
@@ -106,38 +112,66 @@ class KsResult:
     same_distribution: bool
 
 
+def _ks_numerator(xs: np.ndarray, ys: np.ndarray) -> int:
+    """max |i*n - j*m| over the ends of the runs of equal values of the
+    two sorted samples, i and j counting each sample's values up to it.
+
+    Each block takes the values of both samples below a cut at most
+    ``_KS_BLOCK`` values ahead on either side, so it holds at most
+    2 * ``_KS_BLOCK`` values and ends where a run ends.  When no value
+    lies below the cut, the cut is the smallest value left, and its whole
+    run is one step counted by binary search.  Once one sample is spent,
+    |i*n - j*m| only falls towards 0, so the walk stops there.
+    """
+    m, n = xs.size, ys.size
+    i = j = best = 0
+    while i < m and j < n:
+        cut = min(xs[i + _KS_BLOCK] if i + _KS_BLOCK < m else math.inf,
+                  ys[j + _KS_BLOCK] if j + _KS_BLOCK < n else math.inf)
+        i1, j1 = int(xs.searchsorted(cut)), int(ys.searchsorted(cut))
+        if i1 == i and j1 == j:
+            i1 = int(xs.searchsorted(cut, "right"))
+            j1 = int(ys.searchsorted(cut, "right"))
+            best = max(best, abs(i1 * n - j1 * m))
+        else:
+            block = np.concatenate((xs[i:i1], ys[j:j1]))
+            order = np.argsort(block, kind="stable")
+            block = block[order]
+            # +n where the value is the first sample's, -m where the
+            # second's, after the carry i*n - j*m; |i*n - j*m| stays at or
+            # below m*n, exact in int64 for any sample that fits in memory
+            walk = np.where(order < i1 - i, n, -m)
+            walk[0] += i * n - j * m
+            np.cumsum(walk, out=walk)
+            # every later value is at or above the cut, so the block's
+            # last value ends a run
+            ends = walk[np.append(block[1:] != block[:-1], True)]
+            best = max(best, int(np.max(np.abs(ends, out=ends))))
+        i, j = i1, j1
+    return best
+
+
 def ks_two_sample(a, b, alpha: float = 0.05) -> KsResult:
     """Exact-D two-sample KS test at significance level ``alpha``.
 
-    Each sample is sorted, and a stable argsort of the two sorted runs
-    laid end to end merges them in linear time.  Along the merge, the
-    running sum of +n per first-sample value and -m per second-sample
-    value is i*n - j*m, where i and j count the values of each sample
-    up to that position.  Ties, within or across the samples (-0.0 and
-    0.0 are one value), accumulate before the gap is measured: the sum
-    is read only where a run of equal values ends, so quantized data is
-    handled correctly.
+    Each sample is sorted, and the two are merged one block at a time:
+    a stable argsort of a block's values of both samples, laid end to
+    end, merges them.  Along the merge, the running sum of +n per
+    first-sample value and -m per second-sample value, carried from the
+    blocks before, is i*n - j*m, where i and j count the values of each
+    sample up to that position.  Ties, within or across the samples
+    (-0.0 and 0.0 are one value), accumulate before the gap is measured:
+    the sum is read only where a run of equal values ends, so quantized
+    data is handled correctly.  A block never splits a run, and a run
+    longer than a block is one scalar step, so the test holds the two
+    sorted samples and at most 2 * ``_KS_BLOCK`` values besides.
     """
     if not 0 < alpha < 1:
         raise StatsError(f"alpha must be in (0, 1), got {alpha}")
     xs = _sorted_samples(a, "first")
     ys = _sorted_samples(b, "second")
     m, n = xs.size, ys.size
-    pooled = np.concatenate([xs, ys])
-    order = np.argsort(pooled, kind="stable")
-    pooled = pooled[order]
-    # +n where the value is the first sample's, -m where the second's;
-    # |i*n - j*m| stays at or below m*n, exact in int64 for any sample
-    # that fits in memory
-    walk = (order < m).astype(np.int64)
-    del order
-    walk *= m + n
-    walk -= m
-    np.cumsum(walk, out=walk)
-    # The sum after the last value is m*n - n*m = 0, so only the ends of
-    # the runs before it are read.
-    gaps = walk[:-1][pooled[1:] != pooled[:-1]]
-    d_stat = int(np.max(np.abs(gaps, out=gaps), initial=0)) / (m * n)
+    d_stat = _ks_numerator(xs, ys) / (m * n)
 
     effective_n = m * n / (m + n)
     lam = d_stat * math.sqrt(effective_n)

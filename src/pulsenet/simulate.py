@@ -536,9 +536,13 @@ def transient(net: Network, cfg: SimConfig,
 
     I_rec.setflags(write=False)
     V_rec.setflags(write=False)
+    # The reference's record is one read-only zero, seen steps + 1 times,
+    # which Waveform keeps without a copy.
+    zero = np.zeros(1)
+    zero.setflags(write=False)
     node_waves = {}
     for label, r in step.row.items():
-        samples = V_rec[r] if r >= 0 else np.zeros(steps + 1)
+        samples = V_rec[r] if r >= 0 else np.broadcast_to(zero, steps + 1)
         node_waves[label] = Waveform(0.0, cfg.dt, samples, "V")
     branch_waves = {br.id: Waveform(0.0, cfg.dt, I_rec[k], "A")
                     for k, br in enumerate(net.branches)}

@@ -1,6 +1,7 @@
 """Full driver runs: pulse geometry, tuning sweeps, detector filtering."""
 
 import math
+import tracemalloc
 import warnings
 from dataclasses import replace
 
@@ -278,6 +279,26 @@ def test_detector_filter_holds_one_block_besides_its_output():
     detector_filter(wave, 500e-12)
     peak = traced_peak(detector_filter, wave, 500e-12)
     assert peak <= 2 * wave.samples.nbytes + 1_000_000
+
+
+def test_transient_keeps_its_record_and_one_zero_for_the_reference():
+    # The reference node's voltage is one read-only zero seen at every
+    # step, not a record of its own that Waveform would copy.
+    steps = 100_000
+    cfg = SimConfig(t_end=steps * 1e-12, dt=1e-12)
+    net = driver_network(pulse_spec(), circuit(), t_end=cfg.steps * cfg.dt,
+                         dt=cfg.dt)
+    initial = dc_operating_point(net)
+    tracemalloc.start()
+    try:
+        res = transient(net, cfg, initial)
+        kept = tracemalloc.get_traced_memory()[0]
+    finally:
+        tracemalloc.stop()
+    recorded = 8 * (steps + 1) * (len(net.nodes) - 1 + len(net.branches))
+    assert kept <= recorded + 100_000
+    zero = res.node_voltages[net.reference].samples
+    assert zero.shape == (steps + 1,) and not zero.any()
 
 
 def test_backward_euler_dissipates_stored_energy():

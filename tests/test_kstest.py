@@ -3,12 +3,14 @@
 import math
 import tracemalloc
 from fractions import Fraction
+from unittest import mock
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from pulsenet import kstest
 from pulsenet import (LaserCircuit, SimConfig, StatsError, Waveform,
                       baseline_subtract, detector_filter, ecdf, kolmogorov_q,
                       ks_two_sample, run_driver, sense_current,
@@ -215,23 +217,27 @@ def test_merge_d_on_unequal_sizes_and_constant_samples():
 
 
 def test_ks_memory_peak_at_200k_per_side():
-    """The statistic of two 200k samples allocates at most 19.2 MB at its
-    peak, the figure of the binary-search formula it replaced; the merge
-    needs about 13.2 MB (numpy reports its buffers to tracemalloc)."""
+    """The statistic of two 200k samples allocates at most their two
+    sorted copies and 1 MB at its peak, for continuous, 1/8-quantised and
+    all-equal samples: a block that grew with its ties would hold the
+    whole pool (numpy reports its buffers to tracemalloc)."""
     rng = np.random.default_rng(37)
-    a, b = rng.normal(size=200_000), rng.normal(size=200_000)
+    size = 200_000
+    normal = rng.normal(size=(2, size))
+    cases = [normal, np.round(normal * 8.0) / 8.0, np.ones((2, size))]
     tracing = tracemalloc.is_tracing()
     if not tracing:
         tracemalloc.start()
     try:
-        tracemalloc.reset_peak()
-        base = tracemalloc.get_traced_memory()[0]
-        ks_two_sample(a, b)
-        peak = tracemalloc.get_traced_memory()[1] - base
+        for a, b in cases:
+            tracemalloc.reset_peak()
+            base = tracemalloc.get_traced_memory()[0]
+            ks_two_sample(a, b)
+            peak = tracemalloc.get_traced_memory()[1] - base
+            assert peak <= 2 * 8 * size + 1e6
     finally:
         if not tracing:
             tracemalloc.stop()
-    assert peak <= 19.2e6
 
 
 # Small integer ranges plus both signed zeros: ties within and across
@@ -261,6 +267,19 @@ def test_exact_d_and_ecdf_on_tied_samples(a, b):
     assert all(type(v) is float for v in one_by_one)
     assert at_once.tolist() == one_by_one
     assert one_by_one == [np.count_nonzero(a <= x) / m for x in xs]
+
+
+@settings(max_examples=300, deadline=None)
+@given(a=st.one_of(_edge_samples, _tied), b=st.one_of(_edge_samples, _tied))
+def test_merge_d_across_block_edges(a, b):
+    # Blocks of 1 to 3 values per side put cuts between ties across the
+    # samples and between -0.0 and 0.0, make runs longer than a block,
+    # and let either sample run out first.
+    for size in (1, 2, 3):
+        with mock.patch.object(kstest, "_KS_BLOCK", size):
+            d_stat = ks_two_sample(a, b).d_stat
+            assert d_stat == searchsorted_d(a, b)
+            assert ks_two_sample(b, a).d_stat == d_stat
 
 
 def test_against_scipy_oracle():

@@ -13,9 +13,12 @@ def test_reports_each_layer_peak_and_its_multiple_of_the_input():
     head, *lines = out.splitlines()
     assert head.split() == ["layer", "samples", "peak_MB", "x_input"]
     rows = [line.split() for line in lines]
-    assert [r[0] for r in rows] == ["write_waveform_csv", "read_waveform_csv",
-                                    "detector_filter", "ks_two_sample"]
-    assert [int(r[1]) for r in rows] == [3001, 3001, 3001, 6002]
+    assert [r[0] for r in rows] == ["transient", "write_waveform_csv",
+                                    "read_waveform_csv", "detector_filter",
+                                    "ks_two_sample"]
+    # the driver records 7 node voltages besides the reference's and 10
+    # branch currents
+    assert [int(r[1]) for r in rows] == [17 * 3001, 3001, 3001, 3001, 6002]
     for _, samples, peak_mb, ratio in rows:
         # both columns are rounded to two decimals
         input_bytes = 8 * int(samples)

@@ -2,10 +2,13 @@
 
 Each layer is called once to warm up, then once under ``tracemalloc``;
 its peak, output included, is printed in MB and as a multiple of its
-input's bytes.  The input is the record's n float64 samples for
-``write_waveform_csv``, ``read_waveform_csv`` (of the file the writer
-made) and ``detector_filter``, and the two populations of n samples
-each for ``ks_two_sample``.  These are the memory figures that
+input's bytes.  For ``transient``, which runs the shipped 600 ps driver
+(``configs/pulse600.cfg``) for N - 1 steps from its operating point,
+that is the bytes of the record it returns: n samples for each node but
+the reference and for each branch.  The input is the record's n float64
+samples for ``write_waveform_csv``, ``read_waveform_csv`` (of the file
+the writer made) and ``detector_filter``, and the two populations of n
+samples each for ``ks_two_sample``.  These are the memory figures that
 CHANGES.md and ROADMAP.md cite.
 
     python tools/layer_memory.py [N]      # N samples per record, default 200001
@@ -20,9 +23,10 @@ from pathlib import Path
 
 import numpy as np
 
-sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "src"))
+ROOT = Path(__file__).resolve().parent.parent
+sys.path.insert(0, str(ROOT / "src"))
 
-from pulsenet import kstest, simulate, waveform  # noqa: E402
+from pulsenet import config, kstest, simulate, waveform  # noqa: E402
 
 
 def traced_peak(fn, *args) -> int:
@@ -40,9 +44,18 @@ def main(argv: list[str]) -> int:
     rng = np.random.default_rng(1)
     wave = waveform.Waveform(0.0, 1e-12, rng.normal(31e-3, 5e-3, size=n), "A")
     other = rng.normal(31e-3, 5e-3, size=n)
+    cfg = config.load_config(ROOT / "configs" / "pulse600.cfg",
+                             config.SIMULATE_KEYS)
+    sim = config.sim_config_from({**cfg, "t_end": (n - 1) * cfg["dt"]})
+    net = simulate.driver_network(config.stimulus_spec_from(cfg),
+                                  config.laser_circuit_from(cfg),
+                                  t_end=sim.steps * sim.dt, dt=sim.dt)
+    recorded = (len(net.nodes) - 1 + len(net.branches)) * n
     with tempfile.TemporaryDirectory() as tmp:
         path = Path(tmp) / "wave.csv"
         layers = [
+            ("transient", simulate.transient,
+             (net, sim, simulate.dc_operating_point(net)), recorded),
             ("write_waveform_csv", waveform.write_waveform_csv, (path, wave), n),
             ("read_waveform_csv", waveform.read_waveform_csv, (path,), n),
             ("detector_filter", simulate.detector_filter, (wave, 500e-12), n),
