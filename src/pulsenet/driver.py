@@ -41,7 +41,6 @@ SENSE_BRANCH = "VSENSE"   # zero-volt ammeter carrying the total injection
 PARASITIC_BRANCH = "LPAR"
 FILTER_RESISTOR = "RFILT"
 FILTER_CAPACITOR = "CFILT"
-LASER_PREFIX = "LD"
 
 PULSE_SHAPES = ("trapezoid", "gaussian", "raised-cosine")
 
@@ -255,7 +254,7 @@ def driver_network(spec: StimulusSpec, circ: LaserCircuit, *,
         branches.append(Branch(PARASITIC_BRANCH, DRIVE_NODE, anode,
                                elements.Inductor(parasitic_inductance)))
     cathode = MONITOR_NODE if output_filter is not None else GROUND
-    branches += equivalent_branches(circ, anode, cathode, LASER_PREFIX)
+    branches += equivalent_branches(circ, anode, cathode)
     if output_filter is not None:
         branches += [
             Branch(FILTER_RESISTOR, MONITOR_NODE, GROUND,

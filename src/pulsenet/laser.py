@@ -194,15 +194,14 @@ def physics_from_circuit(circ: LaserCircuit, temperature: float,
     )
 
 
-def equivalent_branches(circ: LaserCircuit, anode: str, cathode: str,
-                        prefix: str = "LD") -> tuple[Branch, ...]:
+def equivalent_branches(circ: LaserCircuit, anode: str,
+                        cathode: str) -> tuple[Branch, ...]:
     """Branches of the five-element diode network between two nodes.
 
-    Internal nodes are named ``{prefix}_n1 .. {prefix}_n3``; branch ids
-    ``{prefix}_R``, ``{prefix}_L``, ``{prefix}_RS``, ``{prefix}_RO``
-    (the series arm, anode to cathode) and ``{prefix}_C`` in parallel.
+    Internal nodes are named ``LD_n1 .. LD_n3``; branch ids ``LD_R``,
+    ``LD_L``, ``LD_RS``, ``LD_RO`` (the series arm, anode to cathode)
+    and ``LD_C`` in parallel.
     """
-    n1, n2, n3 = (f"{prefix}_n{k}" for k in (1, 2, 3))
 
     # beta = 0 or delta_gain = 0 makes R_spon or R_o an exact short;
     # realize shorts as 0 V sources so the series-chain topology (and
@@ -213,19 +212,18 @@ def equivalent_branches(circ: LaserCircuit, anode: str, cathode: str,
         return elements.Resistor(ohms, allow_negative=True)
 
     return (
-        Branch(f"{prefix}_R", anode, n1, elements.Resistor(circ.R)),
-        Branch(f"{prefix}_L", n1, n2, elements.Inductor(circ.L)),
-        Branch(f"{prefix}_RS", n2, n3, series_r(circ.R_spon)),
-        Branch(f"{prefix}_RO", n3, cathode, series_r(circ.R_o)),
-        Branch(f"{prefix}_C", anode, cathode, elements.Capacitor(circ.C)),
+        Branch("LD_R", anode, "LD_n1", elements.Resistor(circ.R)),
+        Branch("LD_L", "LD_n1", "LD_n2", elements.Inductor(circ.L)),
+        Branch("LD_RS", "LD_n2", "LD_n3", series_r(circ.R_spon)),
+        Branch("LD_RO", "LD_n3", cathode, series_r(circ.R_o)),
+        Branch("LD_C", anode, cathode, elements.Capacitor(circ.C)),
     )
 
 
 def equivalent_network(circ: LaserCircuit, anode: str = "anode",
-                       cathode: str = "cathode",
-                       prefix: str = "LD") -> Network:
+                       cathode: str = "cathode") -> Network:
     """Stand-alone diode network; its cycle space has dimension one
     (the series arm against the parallel capacitor)."""
-    return Network.from_branches(equivalent_branches(circ, anode, cathode, prefix),
+    return Network.from_branches(equivalent_branches(circ, anode, cathode),
                                  reference=cathode)
 

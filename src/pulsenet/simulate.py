@@ -162,7 +162,9 @@ class SimResult:
     ``node_voltages`` has one waveform per node (the reference is all
     zeros); ``branch_currents`` one per branch, oriented start to end.
     ``max_kcl_residual`` is the worst nodal current imbalance over all
-    solved steps, in amperes.
+    solved steps, in amperes.  ``current_scale`` is the largest branch
+    current in the record, in amperes: the scale that tolerances on the
+    currents are relative to.
     """
 
     network: Network
@@ -369,33 +371,24 @@ def compile_step(net: Network, cfg: SimConfig) -> CompiledStep:
     n_c, n_l, n_i = len(cap_idx), len(ind_idx), len(isrc_idx)
     n_z = 2 * (n_c + n_l)
 
-    def assemble(z: np.ndarray, s: np.ndarray) -> np.ndarray:
-        """Right-hand side for columns of state z and sources s."""
-        cap_u, cap_i, ind_u, ind_i = np.split(z, [n_c, 2 * n_c, 2 * n_c + n_l])
-        cap_hist = cap_g * cap_u + (cap_i if trap else 0.0)
-        ind_hist = ind_i + (ind_g * ind_u if trap else 0.0)
-        # independent sources, then companion histories
-        nodes = (A[:, isrc_idx] @ -s[:n_i] + A[:, cap_idx] @ cap_hist
-                 - A[:, ind_idx] @ ind_hist)
-        return np.vstack([nodes, s[n_i:]])
-
-    def advance(z: np.ndarray, x: np.ndarray) -> np.ndarray:
-        """State after a step that solved x from state z (columns)."""
-        cap_u, cap_i, ind_u, ind_i = np.split(z, [n_c, 2 * n_c, 2 * n_c + n_l])
-        branch_u = A.T @ x[:n_v]
-        new_cap_u = branch_u[cap_idx]
-        new_cap_i = cap_g * (new_cap_u - cap_u) - (cap_i if trap else 0.0)
-        new_ind_u = branch_u[ind_idx]
-        new_ind_i = ind_i + ind_g * ((new_ind_u + ind_u) if trap else new_ind_u)
-        return np.vstack([new_cap_u, new_cap_i, new_ind_u, new_ind_i])
-
-    unit = np.eye(n_z + n_i + len(vsrc_idx))
+    # One step from the columns of the identity: each column is a unit
+    # state (cap_u, cap_i, ind_u, ind_i) or a unit source s.
+    cap_u, cap_i, ind_u, ind_i, s = np.split(
+        np.eye(n_z + n_i + len(vsrc_idx)), [n_c, 2 * n_c, 2 * n_c + n_l, n_z])
     # A finite G can still give a map that is not finite (a 5e-324 F
     # capacitor beside a 1.7e308 ohm resistor); that is reported below.
     with np.errstate(over="ignore", invalid="ignore"):
-        r_unit = assemble(unit[:n_z], unit[n_z:])
-        z_unit = advance(unit[:n_z], _solve(
-            G, r_unit, partial(_singular, net, cfg, g, index)))
+        # The right-hand side: independent sources, then companion histories.
+        cap_hist = cap_g * cap_u + (cap_i if trap else 0.0)
+        ind_hist = ind_i + (ind_g * ind_u if trap else 0.0)
+        r_unit = np.vstack([A[:, isrc_idx] @ -s[:n_i] + A[:, cap_idx] @ cap_hist
+                            - A[:, ind_idx] @ ind_hist, s[n_i:]])
+        # The state after the step, from the branch voltages it solves.
+        branch_u = A.T @ _solve(G, r_unit, partial(_singular, net, cfg, g, index))[:n_v]
+        cap_u1, ind_u1 = branch_u[cap_idx], branch_u[ind_idx]
+        z_unit = np.vstack([
+            cap_u1, cap_g * (cap_u1 - cap_u) - (cap_i if trap else 0.0),
+            ind_u1, ind_i + ind_g * ((ind_u1 + ind_u) if trap else ind_u1)])
     if not (np.all(np.isfinite(r_unit)) and np.all(np.isfinite(z_unit))):
         raise _overflow("the step map (M, N, Rz, Rs)", net, cfg, g, index)
     for array in (G, r_unit, z_unit, g, A, *index.values()):
@@ -559,7 +552,8 @@ def dc_operating_point(net: Network) -> InitialCondition:
     """
     row, G, A, _, cur = _assemble(net, None)
     n_v = len(A)
-    at_zero = {}
+    # The sources' values at t = 0, by branch (0 elsewhere).
+    s0, isrc = np.zeros(len(net.branches)), []
     for k, br in enumerate(net.branches):
         el = br.element
         if isinstance(el, (CurrentSource, VoltageSource)):
@@ -569,12 +563,12 @@ def dc_operating_point(net: Network) -> InitialCondition:
                 raise SimulationError(
                     f"branch {br.id!r}: waveform source spans [{value.t0:g}, "
                     f"{value.t_end:g}] s, which misses the operating point at t = 0")
-            at_zero[k] = el.value_at(0.0)
-    isrc = [k for k in at_zero if isinstance(net.branches[k].element, CurrentSource)]
+            s0[k] = el.value_at(0.0)
+            if isinstance(el, CurrentSource):
+                isrc.append(k)
     # Current sources drive their nodes; a voltage source's row holds its
     # value and an inductor's (a zero-volt source at DC) holds 0.
-    rhs = np.concatenate([A[:, isrc] @ -np.array([at_zero[k] for k in isrc]),
-                          [at_zero.get(k, 0.0) for k in cur]])
+    rhs = np.concatenate([A[:, isrc] @ -s0[isrc], s0[cur]])
 
     x = _solve(G, rhs, lambda: "operating point is singular")
     if not np.all(np.isfinite(x)):
@@ -652,10 +646,6 @@ def sweep_runs(spec: StimulusSpec, circ: LaserCircuit, param: str,
     return runs
 
 
-#: Samples per block of detector_filter's loop.
-_FILTER_BLOCK = 8192
-
-
 def detector_filter(wave: Waveform, rise_time: float) -> Waveform:
     """Single-pole response of a detector with the given 10-90 rise time.
 
@@ -669,16 +659,17 @@ def detector_filter(wave: Waveform, rise_time: float) -> Waveform:
     c = 1.0 - math.exp(-wave.dt / tau)
     # y[k] = c x[k] + (1 - c) y[k-1], in the operation order of the
     # transposed direct form (scipy.signal.lfilter), started settled.
-    # The loop runs on Python floats, of which one block is alive at a time.
     a = 1.0 - c
-    out = np.empty(len(wave))
-    z = a * float(wave.samples[0])
-    for lo in range(0, len(out), _FILTER_BLOCK):
-        y = []
-        for xk in wave.samples[lo:lo + _FILTER_BLOCK].tolist():
+
+    def response():
+        # A memoryview hands out the samples as Python floats one at a
+        # time, so no list of them is ever built.
+        z = a * float(wave.samples[0])
+        for xk in memoryview(wave.samples):
             yk = c * xk + z
-            y.append(yk)
+            yield yk
             z = a * yk
-        out[lo:lo + len(y)] = y
+
+    out = np.fromiter(response(), dtype=np.float64, count=len(wave))
     out.setflags(write=False)
     return wave.with_samples(out)

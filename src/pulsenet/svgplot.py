@@ -47,11 +47,9 @@ def _fmt(v: float) -> str:
     return "0" if out == "-0" else out
 
 
-def _ticks(lo: float, hi: float, target: int = 6) -> list[float]:
-    """Round tick positions covering [lo, hi]."""
-    if hi <= lo:
-        return [lo]
-    raw = (hi - lo) / target
+def _ticks(lo: float, hi: float) -> list[float]:
+    """About six round tick positions covering [lo, hi], for lo < hi."""
+    raw = (hi - lo) / 6
     mag = 10.0 ** math.floor(math.log10(raw))
     for mult in (1.0, 2.0, 2.5, 5.0, 10.0):
         step = mult * mag

@@ -1,0 +1,80 @@
+"""Print a digest of the command line on the shipped configs.
+
+The README's commands run one after another, each in a fresh
+interpreter, in a temporary directory that holds a copy of
+``configs/``, so every path they are given or print is relative.  For
+each command the digest has its exit code and the SHA-256 of its
+stdout, of its stderr and of each file it wrote or changed.  Two
+checkouts whose command line behaves the same byte for byte print the
+same digest:
+
+    python tools/cli_digest.py [ROOT]     # ROOT: a checkout, default this one
+    diff <(python tools/cli_digest.py OTHER) <(python tools/cli_digest.py)
+"""
+
+from __future__ import annotations
+
+import hashlib
+import os
+import shutil
+import subprocess
+import sys
+import tempfile
+from pathlib import Path
+
+COMMANDS = (
+    ("laser-params", "--config", "configs/laser_calibration.cfg"),
+    ("laser-params", "--config", "configs/laser_calibration_invert.cfg", "--invert"),
+    ("netcheck", "configs/triangle.net", "--cycles"),
+    ("simulate", "--config", "configs/pulse600.cfg", "--out", "pulse600.csv",
+     "--probe", "v:tee", "--probe", "i:LD_L", "--plot", "pulse600.svg",
+     "--emit-netlist", "pulse600.net"),
+    ("simulate", "--config", "configs/pulse600_lowamp.cfg", "--out", "lowamp.csv",
+     "--detector-rise", "500ps"),
+    ("sweep", "--config", "configs/sweep_amplitude.cfg", "--out-dir", "runs"),
+    ("metrics", "pulse600.csv", "--baseline", "0s", "1ns"),
+    ("compare", "runs/run_000.csv", "runs/run_001.csv", "--level", "0.004",
+     "--baseline", "0s", "1ns", "--out-prefix", "norm"),
+    ("kstest", "runs/run_000.csv", "runs/run_001.csv", "--alpha", "0.05",
+     "--baseline", "0s", "1ns", "--detector-rise", "500ps", "--emit-cdf", "cdf.csv"),
+)
+
+#: Runs ``pulsenet.cli.main`` on the arguments, as the entry point does.
+RUNNER = "import sys; from pulsenet.cli import main; sys.exit(main(sys.argv[1:]))"
+
+
+def _sha(data: bytes) -> str:
+    return hashlib.sha256(data).hexdigest()
+
+
+def _files(work: Path) -> dict[str, str]:
+    """SHA-256 of every file under ``work`` but the configs, by relative path."""
+    return {path.relative_to(work).as_posix(): _sha(path.read_bytes())
+            for path in sorted(work.rglob("*"))
+            if path.is_file() and path.parts[len(work.parts)] != "configs"}
+
+
+def main(argv: list[str]) -> int:
+    root = Path(argv[0]) if argv else Path(__file__).resolve().parent.parent
+    env = {**os.environ, "PYTHONPATH": str(Path(root, "src").resolve())}
+    with tempfile.TemporaryDirectory() as tmp:
+        work = Path(tmp)
+        shutil.copytree(Path(root, "configs"), work / "configs")
+        before = _files(work)
+        for command in COMMANDS:
+            run = subprocess.run([sys.executable, "-c", RUNNER, *command],
+                                 cwd=work, env=env, capture_output=True)
+            after = _files(work)
+            print(" ".join(command))
+            print(f"  exit    {run.returncode}")
+            print(f"  stdout  {_sha(run.stdout)}")
+            print(f"  stderr  {_sha(run.stderr)}")
+            for name, digest in after.items():
+                if before.get(name) != digest:
+                    print(f"  {name}  {digest}")
+            before = after
+    return 0
+
+
+if __name__ == "__main__":
+    sys.exit(main(sys.argv[1:]))
