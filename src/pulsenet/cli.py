@@ -78,9 +78,7 @@ def _cmd_netcheck(args) -> int:
     comps = topology.connected_components(net)
     basis = topology.cycle_space(net)
     col_ok = bool(np.all(bmat.matrix.sum(axis=0) == 0))
-    in_kernel = all(
-        topology.in_cycle_space(net, dict(zip(net.branch_ids, vec)))
-        for vec in basis.vectors)
+    in_kernel = all(topology.in_cycle_space(net, vec) for vec in basis.vectors)
 
     print(f"netlist: {args.netlist}")
     _print_kv([

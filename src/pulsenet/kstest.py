@@ -42,7 +42,6 @@ class EmpiricalCdf:
     read-only sample array."""
 
     sorted_values: np.ndarray
-    n: int
 
     def __call__(self, x):
         """F(x) = (number of sample values <= x) / n: a float for a
@@ -51,9 +50,8 @@ class EmpiricalCdf:
         if np.isnan(x).any():
             raise StatsError(f"the CDF is undefined at NaN, got {x!r}")
         counts = np.searchsorted(self.sorted_values, x, side="right")
-        if np.ndim(counts):
-            return counts / self.n
-        return int(counts) / self.n
+        n = self.sorted_values.size
+        return counts / n if np.ndim(counts) else int(counts) / n
 
 
 def _sorted_samples(values, name: str) -> np.ndarray:
@@ -69,7 +67,7 @@ def _sorted_samples(values, name: str) -> np.ndarray:
 def ecdf(samples) -> EmpiricalCdf:
     """Empirical CDF of a non-empty finite sample (ties allowed)."""
     vals = _sorted_samples(samples, "the")
-    return EmpiricalCdf(vals, vals.size)
+    return EmpiricalCdf(vals)
 
 
 def kolmogorov_q(lam: float) -> float:

@@ -57,12 +57,9 @@ def _element_from_spec(kind: str, token: str, base_dir: Path | None,
     return cls(value)
 
 
-def parse_netlist(text: str, base_dir=None, source: str = "<netlist>",
-                  reference: str | None = None) -> Network:
-    """Parse netlist text into a Network.
-
-    ``reference`` overrides the ground-node convention (``0``/``gnd``).
-    """
+def parse_netlist(text: str, base_dir=None, source: str = "<netlist>") -> Network:
+    """Parse netlist text into a Network whose reference is its node
+    ``0``, else its node ``gnd``, else none."""
     base_dir = Path(base_dir) if base_dir is not None else None
     branches: list[Branch] = []
     for where, line, raw in _stripped_lines(text, source):
@@ -80,20 +77,18 @@ def parse_netlist(text: str, base_dir=None, source: str = "<netlist>",
     if not branches:
         raise NetlistError(f"{source}: no branches")
 
-    if reference is None:
-        nodes = {n for br in branches for n in (br.start, br.end)}
-        reference = "0" if "0" in nodes else ("gnd" if "gnd" in nodes else None)
+    nodes = {n for br in branches for n in (br.start, br.end)}
+    reference = "0" if "0" in nodes else ("gnd" if "gnd" in nodes else None)
     return Network.from_branches(branches, reference=reference)
 
 
-def read_netlist(path, reference: str | None = None) -> Network:
+def read_netlist(path) -> Network:
     path = Path(path)
     try:
         text = path.read_text(encoding="utf-8")
     except (OSError, UnicodeDecodeError) as exc:
         raise NetlistError(f"cannot read netlist {path}: {exc}") from exc
-    return parse_netlist(text, base_dir=path.parent, source=str(path),
-                         reference=reference)
+    return parse_netlist(text, base_dir=path.parent, source=str(path))
 
 
 def _spec_for(branch: Branch, waveform_dir: Path | None) -> str:

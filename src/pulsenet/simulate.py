@@ -45,10 +45,10 @@ currents i injects -A i into the nodes, and
 where g holds the branch conductances and A_x the columns of the
 branches whose current is an unknown (Ho, Ruehli and Brennan, IEEE
 Trans. Circuits Syst. 1975).  ``compile_step`` and
-``dc_operating_point`` build G with one assembler, ``_assemble``; they
-differ only in the conductance each element gets, which ``_conductance``
-states for both (at DC, inductors join the voltage sources as current
-unknowns).
+``dc_operating_point`` build G, and sort the branches by element kind,
+with one assembler, ``_assemble``; they differ only in the conductance
+each element gets, which ``_conductance`` states for both (at DC,
+inductors join the voltage sources as current unknowns).
 
 Trapezoidal integration is the default: it is second order and, for
 lossless LC loops, preserves the stored energy exactly (in exact
@@ -217,7 +217,7 @@ def _checked_network(net: Network) -> None:
 
 def _assemble(net: Network, cfg: SimConfig | None
               ) -> tuple[dict[str, int], np.ndarray, np.ndarray, np.ndarray,
-                         list[int]]:
+                         list[int], dict[type, np.ndarray]]:
     """Check ``net``, then build its modified-nodal matrix from its boundary
     operator, for the transient on ``cfg`` or, for ``cfg=None``, at DC.
 
@@ -228,9 +228,10 @@ def _assemble(net: Network, cfg: SimConfig | None
 
         G = [[A diag(g) A^T, A_x], [A_x^T, 0]]
 
-    Returns the row map (the reference is -1), G, A, g and the branch
-    indices of the current unknowns.  An element value whose conductance
-    is not finite, or conductances whose sum at a node is not, is a
+    Returns the row map (the reference is -1), G, A, g, the branch
+    indices of the current unknowns and the branches of each element kind
+    (``CompiledStep.index``).  An element value whose conductance is not
+    finite, or conductances whose sum at a node is not, is a
     SimulationError.
     """
     _checked_network(net)
@@ -258,7 +259,10 @@ def _assemble(net: Network, cfg: SimConfig | None
     G[n_v:, :n_v] = A_x.T
     row = {net.nodes[k]: r for r, k in enumerate(keep)}
     row[net.reference] = -1
-    return row, G, A, g, cur
+    index = {kind: np.array([k for k, br in enumerate(net.branches)
+                             if isinstance(br.element, kind)], dtype=np.intp)
+             for kind in _KINDS}
+    return row, G, A, g, cur, index
 
 
 def _source_samples(br: Branch, times: np.ndarray) -> np.ndarray:
@@ -361,11 +365,8 @@ def compile_step(net: Network, cfg: SimConfig) -> CompiledStep:
     the maps of :class:`CompiledStep`.
     """
     trap = cfg.method == "trapezoidal"
-    row, G, A, g, _ = _assemble(net, cfg)
+    row, G, A, g, _, index = _assemble(net, cfg)
     n_v = len(A)
-    index = {kind: np.array([k for k, br in enumerate(net.branches)
-                             if isinstance(br.element, kind)], dtype=np.intp)
-             for kind in _KINDS}
     _, cap_idx, ind_idx, isrc_idx, vsrc_idx = index.values()
     cap_g, ind_g = g[cap_idx, None], g[ind_idx, None]
     n_c, n_l, n_i = len(cap_idx), len(ind_idx), len(isrc_idx)
@@ -501,9 +502,9 @@ def transient(net: Network, cfg: SimConfig,
             # not through a composed map from (z, s): terms that cancel at
             # a node (a bias current against its choke's current) then
             # cancel before the solve scales them by 1/g of a small
-            # companion conductance, not after.
-            x = _solve(step.G, step.Rz @ zs[:-1].T + step.Rs @ s,
-                       partial(_singular, net, cfg, step.g, step.index))
+            # companion conductance, not after.  ``compile_step`` has
+            # already solved with this G, and the LU pivots on G alone.
+            x = np.linalg.solve(step.G, step.Rz @ zs[:-1].T + step.Rs @ s)
             u = A.T @ x[:n_v]
             V_rec[:, lo:hi] = x[:n_v]
             I = I_rec[:, lo:hi]
@@ -550,22 +551,20 @@ def dc_operating_point(net: Network) -> InitialCondition:
     stay solvable.  The result feeds :func:`transient` as its initial
     condition, including the source currents for the t = 0 record.
     """
-    row, G, A, _, cur = _assemble(net, None)
+    row, G, A, _, cur, index = _assemble(net, None)
     n_v = len(A)
+    isrc = index[CurrentSource]
     # The sources' values at t = 0, by branch (0 elsewhere).
-    s0, isrc = np.zeros(len(net.branches)), []
-    for k, br in enumerate(net.branches):
-        el = br.element
-        if isinstance(el, (CurrentSource, VoltageSource)):
-            value = el.amps if isinstance(el, CurrentSource) else el.volts
-            if isinstance(value, Waveform) and not (
-                    value.t0 <= 0.5 * value.dt and value.t_end >= -0.5 * value.dt):
-                raise SimulationError(
-                    f"branch {br.id!r}: waveform source spans [{value.t0:g}, "
-                    f"{value.t_end:g}] s, which misses the operating point at t = 0")
-            s0[k] = el.value_at(0.0)
-            if isinstance(el, CurrentSource):
-                isrc.append(k)
+    s0 = np.zeros(len(net.branches))
+    for k in np.sort(np.concatenate([isrc, index[VoltageSource]])):
+        br = net.branches[k]
+        value = br.element.amps if k in isrc else br.element.volts
+        if isinstance(value, Waveform) and not (
+                value.t0 <= 0.5 * value.dt and value.t_end >= -0.5 * value.dt):
+            raise SimulationError(
+                f"branch {br.id!r}: waveform source spans [{value.t0:g}, "
+                f"{value.t_end:g}] s, which misses the operating point at t = 0")
+        s0[k] = br.element.value_at(0.0)
     # Current sources drive their nodes; a voltage source's row holds its
     # value and an inductor's (a zero-volt source at DC) holds 0.
     rhs = np.concatenate([A[:, isrc] @ -s0[isrc], s0[cur]])

@@ -55,12 +55,22 @@ def _ticks(lo: float, hi: float) -> list[float]:
         step = mult * mag
         if step >= raw:
             break
-    first = math.ceil(lo / step) * step
-    ticks = []
-    t = first
-    while t <= hi + 1e-9 * step:
-        ticks.append(0.0 if abs(t) < 1e-12 * step else t)
-        t += step
+    return [k * step for k in range(math.ceil(lo / step),
+                                    math.floor(hi / step + 1e-9) + 1)]
+
+
+def _axis_ticks(name: str, lo: float, hi: float) -> list[float]:
+    """The ticks of the ``name`` axis over [lo, hi].  A range whose sixth,
+    the least tick step, is not a finite positive double (NaN or infinite
+    data, an empty range, a span past the float range), or whose ticks
+    the doubles cannot tell apart, is a PulsenetError."""
+    if not 0.0 < (hi - lo) / 6 < math.inf:
+        raise PulsenetError(f"cannot draw the {name} axis over [{lo!r}, {hi!r}]: "
+                            "its width / 6 is not a finite positive double")
+    ticks = _ticks(lo, hi)
+    if any(b <= a for a, b in zip(ticks, ticks[1:])):
+        raise PulsenetError(f"cannot draw the {name} axis over [{lo!r}, {hi!r}]: "
+                            "its ticks round to equal doubles")
     return ticks
 
 
@@ -69,10 +79,11 @@ def line_plot(series: Sequence[Series], title: str = "",
     """Render labeled series as a complete SVG document string."""
     if not series:
         raise PulsenetError("nothing to plot")
-    x_lo = min(float(np.min(s.x)) for s in series)
-    x_hi = max(float(np.max(s.x)) for s in series)
-    y_lo = min(float(np.min(s.y)) for s in series)
-    y_hi = max(float(np.max(s.y)) for s in series)
+    # numpy's min and max, unlike Python's, pass on a NaN of any series.
+    x_lo = float(np.min([np.min(s.x) for s in series]))
+    x_hi = float(np.max([np.max(s.x) for s in series]))
+    y_lo = float(np.min([np.min(s.y) for s in series]))
+    y_hi = float(np.max([np.max(s.y) for s in series]))
     if x_hi == x_lo:
         x_hi = x_lo + 1.0
     if y_hi == y_lo:
@@ -81,6 +92,8 @@ def line_plot(series: Sequence[Series], title: str = "",
     pad = 0.05 * (y_hi - y_lo)
     y_lo -= pad
     y_hi += pad
+    x_ticks = _axis_ticks("x", x_lo, x_hi)
+    y_ticks = _axis_ticks("y", y_lo, y_hi)
 
     px_w = WIDTH - MARGIN_L - MARGIN_R
     px_h = HEIGHT - MARGIN_T - MARGIN_B
@@ -102,7 +115,7 @@ def line_plot(series: Sequence[Series], title: str = "",
         out.append(f'<text x="{WIDTH // 2}" y="24" text-anchor="middle" '
                    f'font-family="monospace" font-size="15">{_escape(title)}</text>')
 
-    for tx in _ticks(x_lo, x_hi):
+    for tx in x_ticks:
         px = sx(tx)
         out.append(f'<line x1="{_fmt(px)}" y1="{MARGIN_T + px_h}" '
                    f'x2="{_fmt(px)}" y2="{MARGIN_T + px_h + 5}" '
@@ -110,7 +123,7 @@ def line_plot(series: Sequence[Series], title: str = "",
         out.append(f'<text x="{_fmt(px)}" y="{MARGIN_T + px_h + 20}" '
                    'text-anchor="middle" font-family="monospace" '
                    f'font-size="11">{_fmt(tx)}</text>')
-    for ty in _ticks(y_lo, y_hi):
+    for ty in y_ticks:
         py = sy(ty)
         out.append(f'<line x1="{MARGIN_L - 5}" y1="{_fmt(py)}" '
                    f'x2="{MARGIN_L}" y2="{_fmt(py)}" '

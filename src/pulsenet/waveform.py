@@ -131,10 +131,9 @@ class Waveform:
         out = np.interp(t, self.times(), self.samples)
         return float(out) if np.isscalar(t) else out
 
-    def with_samples(self, samples, unit: str | None = None) -> "Waveform":
-        """Same grid, new sample values (and optionally a new unit)."""
-        return Waveform(self.t0, self.dt, samples,
-                        self.unit if unit is None else unit)
+    def with_samples(self, samples) -> "Waveform":
+        """Same grid and unit, new sample values."""
+        return Waveform(self.t0, self.dt, samples, self.unit)
 
     def index_at(self, t: float) -> int:
         """Index of the sample nearest to time ``t`` (clamped to range)."""

@@ -1,10 +1,13 @@
 """Shared fixtures and builders for the test suite."""
 
 import math
+import os
 import tracemalloc
+from pathlib import Path
 
 import numpy as np
 
+import pulsenet
 from pulsenet import Branch, LaserPhysics, Network, StimulusSpec, Waveform
 
 #: The published laser element values that the shipped configs use.
@@ -21,6 +24,15 @@ def pulse_spec(**overrides):
                 delay=2e-9, edge=100e-12)
     base.update(overrides)
     return StimulusSpec(**base)
+
+
+def package_env():
+    """Environment for a fresh interpreter that imports this pulsenet."""
+    src = str(Path(pulsenet.__file__).resolve().parent.parent)
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(
+        p for p in (src, env.get("PYTHONPATH")) if p)
+    return env
 
 
 def random_physics(rng):

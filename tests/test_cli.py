@@ -1,6 +1,5 @@
 """End-to-end command line runs against the shipped configs."""
 
-import os
 import re
 import subprocess
 import sys
@@ -13,8 +12,8 @@ import pytest
 
 import pulsenet
 from pulsenet import cli
-from pulsenet.waveform import read_waveform_csv, write_waveform_csv
-from conftest import FWHM_PER_SIGMA, gaussian_wave
+from pulsenet.waveform import Waveform, read_waveform_csv, write_waveform_csv
+from conftest import FWHM_PER_SIGMA, gaussian_wave, package_env
 
 CONFIGS = Path(__file__).parent.parent / "configs"
 
@@ -208,15 +207,6 @@ def test_baseline_removed_is_the_level_subtracted(tmp_path, capsys):
     assert kv(capsys.readouterr().out)["baseline removed"] == f"{removed:.9g}"
 
 
-def package_env():
-    """Environment for a fresh interpreter that imports this pulsenet."""
-    src = str(Path(pulsenet.__file__).resolve().parent.parent)
-    env = dict(os.environ)
-    env["PYTHONPATH"] = os.pathsep.join(
-        p for p in (src, env.get("PYTHONPATH")) if p)
-    return env
-
-
 @pytest.mark.parametrize("module", ["pulsenet", "pulsenet.cli"])
 def test_import_loads_no_scipy(module):
     """Importing loads no scipy and builds none of the CSV writer's
@@ -255,7 +245,7 @@ def test_compare_writes_a_non_ascii_unit(tmp_path, capsys):
     # read from a file is written into the aligned copies.
     wave = gaussian_wave(150e-12, 2e-12, center=2e-9, half_span=1.5e-9)
     path = tmp_path / "mu.csv"
-    write_waveform_csv(path, wave.with_samples(wave.samples, unit="µA"))
+    write_waveform_csv(path, Waveform(wave.t0, wave.dt, wave.samples, "µA"))
     prefix = str(tmp_path / "out")
     assert cli.main(["compare", str(path), str(path), "--level", "0.5",
                      "--out-prefix", prefix]) == 0

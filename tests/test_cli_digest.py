@@ -1,4 +1,5 @@
-"""The digest of the shipped-config commands that CHANGES.md compares."""
+"""The digest of the shipped-config commands, and of the commands that
+must fail, that CHANGES.md compares."""
 
 import hashlib
 import subprocess
@@ -23,9 +24,10 @@ def test_digest_names_each_command_its_exit_its_streams_and_its_files():
             blocks[command] = {}
     assert [c.split()[0] for c in blocks] == [
         "laser-params", "laser-params", "netcheck", "simulate", "simulate",
-        "sweep", "metrics", "compare", "kstest"]
+        "sweep", "metrics", "compare", "kstest",
+        "simulate", "simulate", "kstest", "netcheck", "simulate"]
     written = []
-    for rows in blocks.values():
+    for rows in list(blocks.values())[:9]:
         assert rows.pop("exit") == "0"
         assert rows.pop("stderr") == EMPTY
         assert len(rows.pop("stdout")) == 64
@@ -39,3 +41,9 @@ def test_digest_names_each_command_its_exit_its_streams_and_its_files():
         [],
         ["norm_a.csv", "norm_b.csv"],
         ["cdf.csv"]]
+    # the failing commands: exit 1, an error on stderr, no file written
+    for rows in list(blocks.values())[9:]:
+        assert rows.pop("exit") == "1"
+        assert rows.pop("stderr") != EMPTY
+        assert rows.pop("stdout") == EMPTY
+        assert rows == {}

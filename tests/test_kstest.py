@@ -28,7 +28,7 @@ def q_long(lam, terms=2000):
 def test_ecdf_step_values():
     F = ecdf([3.0, 1.0, 2.0])
     assert F.sorted_values.tolist() == [1.0, 2.0, 3.0]
-    assert F.n == 3
+    assert F.sorted_values.size == 3
     assert F(0.5) == 0.0
     assert F(2.0) == 2 / 3
     assert F(3.0) == 1.0

@@ -1,12 +1,16 @@
 """The loud failures that no other test reaches: one table per module.
 
 Each row builds a bad input and names the error class and the whole
-message it must raise.  The last two tests are the two outcomes that
+message it must raise.  The plot whose ticks round together runs in a
+child process, under a timeout and a memory limit, so that a tick search
+that never ends fails there.  The last two tests are the two outcomes that
 are not errors: a pulse whose metrics are unavailable still runs and
 exits 0, and a series with one x value still plots.
 """
 
 import re
+import subprocess
+import sys
 from dataclasses import replace
 from pathlib import Path
 
@@ -15,12 +19,12 @@ import pytest
 
 from pulsenet import (BiasTee, Branch, Capacitor, CurrentSource, Inductor,
                       LaserCircuit, ModelError, NetlistError, Network,
-                      OutputFilter, Resistor, SimConfig, SimulationError,
-                      TopologyError, boundary, cli, dc_operating_point,
-                      differential_resistance, driver_network, emit_netlist,
-                      parse_netlist, transient)
+                      OutputFilter, PulsenetError, Resistor, SimConfig,
+                      SimulationError, TopologyError, boundary, cli,
+                      dc_operating_point, differential_resistance,
+                      driver_network, emit_netlist, parse_netlist, transient)
 from pulsenet.svgplot import Series, line_plot
-from conftest import pulse_spec, random_physics
+from conftest import package_env, pulse_spec, random_physics
 
 CIRCUIT = LaserCircuit(R=2.555, L=6.184e-12, C=0.3557e-9, R_spon=2.811e-3,
                        R_o=-5.511e-3)
@@ -126,6 +130,70 @@ def test_netlist_errors(build, message):
 ], ids=["no-element", "unsupported", "dc-overflow"])
 def test_simulate_errors(build, message):
     raises(SimulationError, message, build)
+
+
+def _plot(x, *ys):
+    """Plot one series per y over the same x; with no y, one of 0, 1, ..."""
+    x = np.array(x, dtype=float)
+    return line_plot([Series(f"s{k}", x, np.array(y, dtype=float))
+                      for k, y in enumerate(ys or [np.arange(x.size)])])
+
+
+NAN, INF = float("nan"), float("inf")
+EMPTY = "its width / 6 is not a finite positive double"
+
+
+@pytest.mark.parametrize("build, message", [
+    # One x value, or a flat y, widened by 1 where 1 is below the spacing.
+    (lambda: _plot([1e17, 1e17]),
+     f"cannot draw the x axis over [1e+17, 1e+17]: {EMPTY}"),
+    (lambda: _plot([1e300, 1e300]),
+     f"cannot draw the x axis over [1e+300, 1e+300]: {EMPTY}"),
+    (lambda: _plot([0.0, 1.0], [1e17, 1e17]),
+     f"cannot draw the y axis over [1e+17, 1e+17]: {EMPTY}"),
+    (lambda: _plot([0.0, NAN]),
+     f"cannot draw the x axis over [nan, nan]: {EMPTY}"),
+    (lambda: _plot([0.0, 1.0], [0.0, 1.0], [0.0, NAN]),
+     f"cannot draw the y axis over [nan, nan]: {EMPTY}"),
+    (lambda: _plot([0.0, 1.0], [0.0, INF]),
+     f"cannot draw the y axis over [-inf, inf]: {EMPTY}"),
+    (lambda: _plot([-1.7e308, 1.7e308]),
+     f"cannot draw the x axis over [-1.7e+308, 1.7e+308]: {EMPTY}"),
+    (lambda: _plot([0.0, 5e-324]),
+     f"cannot draw the x axis over [0.0, 5e-324]: {EMPTY}"),
+], ids=["x-flat-1e17", "x-flat-1e300", "y-flat-1e17", "x-nan",
+        "y-nan-in-second-series", "y-inf", "x-past-float-range",
+        "x-subnormal-span"])
+def test_svgplot_errors(build, message):
+    raises(PulsenetError, message, build)
+
+
+#: Plots x = [1e17, 1e17 + 16], whose tick step of 5 is below the spacing
+#: of the doubles there, under an address-space limit 256 MB above what
+#: the interpreter holds: a tick list that grows without end fails there.
+TICKS_BELOW_SPACING = """
+import resource
+import numpy as np
+from pulsenet import PulsenetError
+from pulsenet.svgplot import Series, line_plot
+with open("/proc/self/status") as status:
+    kb = next(int(line.split()[1]) for line in status if line.startswith("VmSize:"))
+limit = kb * 1024 + 256 * 2**20
+resource.setrlimit(resource.RLIMIT_AS, (limit, limit))
+try:
+    line_plot([Series("s", np.array([1e17, 1e17 + 16]), np.array([0.0, 1.0]))])
+except PulsenetError as exc:
+    print(exc)
+"""
+
+
+def test_svgplot_rejects_ticks_that_round_together():
+    run = subprocess.run([sys.executable, "-c", TICKS_BELOW_SPACING],
+                         env=package_env(), capture_output=True, text=True,
+                         timeout=60)
+    assert (run.returncode, run.stderr) == (0, "")
+    assert run.stdout == ("cannot draw the x axis over [1e+17, 1.0000000000000002e+17]: "
+                          "its ticks round to equal doubles\n")
 
 
 def test_cli_prints_that_pulse_metrics_are_unavailable(tmp_path, capsys):

@@ -30,11 +30,9 @@ def test_parse_minimal_netlist():
     assert net.branch("R2").element.ohms == 0.5  # bare SI value
 
 
-def test_gnd_alias_and_reference_override():
+def test_gnd_alias_becomes_the_reference():
     net = parse_netlist("I1 gnd a I 1mA\nR1 a gnd R 50")
     assert net.reference == "gnd"
-    net = parse_netlist("I1 x y I 1mA\nR1 y x R 50", reference="x")
-    assert net.reference == "x"
 
 
 def test_unit_suffixes_scale():

@@ -1,10 +1,14 @@
-"""SVG emission: byte stability, structure, escaping."""
+"""SVG emission: byte stability, structure, escaping, tick positions."""
+
+import math
 
 import numpy as np
 import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
 
 from pulsenet import PulsenetError
-from pulsenet.svgplot import Series, line_plot, write_plot
+from pulsenet.svgplot import Series, _ticks, line_plot, write_plot
 
 
 def two_series():
@@ -68,6 +72,35 @@ def test_non_ascii_label_is_written_as_utf8(tmp_path):
     texts = [el.text for el in root.iter("{http://www.w3.org/2000/svg}text")]
     assert texts.count("I [µA]") == 2
     assert "µ-scale" in texts
+
+
+@st.composite
+def splittable_ranges(draw):
+    """Finite lo < hi whose span is at least a millionth of their
+    magnitude, with a normal double for its sixth: a span the doubles
+    split into distinct ticks."""
+    lo = draw(st.floats(-1e300, 1e300))
+    hi = lo + draw(st.floats(1e-300, 1e300))
+    assume(hi - lo >= 1e-6 * max(abs(lo), abs(hi)))
+    return lo, hi
+
+
+@settings(max_examples=300, deadline=None)
+@given(splittable_ranges())
+def test_ticks_are_consecutive_multiples_of_a_round_step(bounds):
+    lo, hi = bounds
+    ticks = _ticks(lo, hi)
+    # the least of 1, 2, 2.5, 5 and 10 times a power of ten that is at
+    # least a sixth of the span
+    raw = (hi - lo) / 6
+    mag = 10.0 ** math.floor(math.log10(raw))
+    step = next(m * mag for m in (1.0, 2.0, 2.5, 5.0, 10.0) if m * mag >= raw)
+    assert 3 <= len(ticks) <= 7
+    assert all(a < b for a, b in zip(ticks, ticks[1:]))
+    first = round(ticks[0] / step)
+    assert ticks == [k * step for k in range(first, first + len(ticks))]
+    assert ticks[0] >= lo - 1e-9 * step
+    assert ticks[-1] <= hi + 1e-9 * step
 
 
 def test_ascii_plot_bytes_are_its_ascii_text(tmp_path):

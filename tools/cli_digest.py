@@ -2,11 +2,14 @@
 
 The README's commands run one after another, each in a fresh
 interpreter, in a temporary directory that holds a copy of
-``configs/``, so every path they are given or print is relative.  For
+``configs/``, so every path they are given or print is relative.  Then
+five commands that must fail run on bad flags and bad inputs: an
+unknown probe, a zero detector rise time, a missing waveform, a netlist
+with an unknown element kind and a config with an unknown key.  For
 each command the digest has its exit code and the SHA-256 of its
 stdout, of its stderr and of each file it wrote or changed.  Two
-checkouts whose command line behaves the same byte for byte print the
-same digest:
+checkouts whose command line behaves the same byte for byte, error
+messages included, print the same digest:
 
     python tools/cli_digest.py [ROOT]     # ROOT: a checkout, default this one
     diff <(python tools/cli_digest.py OTHER) <(python tools/cli_digest.py)
@@ -37,7 +40,20 @@ COMMANDS = (
      "--baseline", "0s", "1ns", "--out-prefix", "norm"),
     ("kstest", "runs/run_000.csv", "runs/run_001.csv", "--alpha", "0.05",
      "--baseline", "0s", "1ns", "--detector-rise", "500ps", "--emit-cdf", "cdf.csv"),
+    ("simulate", "--config", "configs/pulse600.cfg", "--out", "probe.csv",
+     "--probe", "v:NOPE"),
+    ("simulate", "--config", "configs/pulse600.cfg", "--out", "rise.csv",
+     "--detector-rise", "0s"),
+    ("kstest", "missing.csv", "runs/run_000.csv"),
+    ("netcheck", "unknown_kind.net"),
+    ("simulate", "--config", "unknown_key.cfg", "--out", "key.csv"),
 )
+
+#: The bad inputs of the failing commands, written beside ``configs/``.
+BAD_INPUTS = {
+    "unknown_kind.net": "VS 0 a V 1\nQ1 a 0 Q 1\n",
+    "unknown_key.cfg": "colour = blue\n",
+}
 
 #: Runs ``pulsenet.cli.main`` on the arguments, as the entry point does.
 RUNNER = "import sys; from pulsenet.cli import main; sys.exit(main(sys.argv[1:]))"
@@ -60,6 +76,8 @@ def main(argv: list[str]) -> int:
     with tempfile.TemporaryDirectory() as tmp:
         work = Path(tmp)
         shutil.copytree(Path(root, "configs"), work / "configs")
+        for name, text in BAD_INPUTS.items():
+            (work / name).write_text(text, encoding="utf-8")
         before = _files(work)
         for command in COMMANDS:
             run = subprocess.run([sys.executable, "-c", RUNNER, *command],
