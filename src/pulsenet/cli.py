@@ -74,10 +74,9 @@ def _cmd_laser_params(args) -> int:
 
 def _cmd_netcheck(args) -> int:
     net = netlist.read_netlist(args.netlist)
-    bmat = topology.boundary(net)
     comps = topology.connected_components(net)
     basis = topology.cycle_space(net)
-    col_ok = bool(np.all(bmat.matrix.sum(axis=0) == 0))
+    col_ok = bool(np.all(topology.boundary(net).sum(axis=0) == 0))
     in_kernel = all(topology.in_cycle_space(net, vec) for vec in basis.vectors)
 
     print(f"netlist: {args.netlist}")

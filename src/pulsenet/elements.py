@@ -27,20 +27,17 @@ def _check_positive(name: str, value: float) -> None:
 
 @dataclass(frozen=True)
 class Resistor:
-    """Ohmic element.  ``allow_negative`` admits the negative dynamic
-    resistances that appear in active-device equivalents (still never
-    zero: a short is a zero-volt source, not a resistor)."""
+    """Ohmic element.  ``ohms`` may be negative, as the dynamic resistances
+    of active-device equivalents are, but never zero: a short is a
+    zero-volt source, not a resistor."""
 
     ohms: float
-    allow_negative: bool = False
 
     def __post_init__(self) -> None:
-        if self.allow_negative:
-            if not (math.isfinite(self.ohms) and self.ohms != 0.0):
-                raise TopologyError(
-                    f"resistance must be finite and non-zero, got {self.ohms!r}")
-        else:
-            _check_positive("resistance", self.ohms)
+        if not (isinstance(self.ohms, (int, float)) and math.isfinite(self.ohms)
+                and self.ohms != 0.0):
+            raise TopologyError(
+                f"resistance must be finite and non-zero, got {self.ohms!r}")
 
 
 @dataclass(frozen=True)

@@ -209,7 +209,7 @@ def equivalent_branches(circ: LaserCircuit, anode: str,
     def series_r(ohms: float) -> elements.Element:
         if ohms == 0.0:
             return elements.VoltageSource(0.0)
-        return elements.Resistor(ohms, allow_negative=True)
+        return elements.Resistor(ohms)
 
     return (
         Branch("LD_R", anode, "LD_n1", elements.Resistor(circ.R)),
@@ -220,10 +220,10 @@ def equivalent_branches(circ: LaserCircuit, anode: str,
     )
 
 
-def equivalent_network(circ: LaserCircuit, anode: str = "anode",
-                       cathode: str = "cathode") -> Network:
-    """Stand-alone diode network; its cycle space has dimension one
-    (the series arm against the parallel capacitor)."""
-    return Network.from_branches(equivalent_branches(circ, anode, cathode),
-                                 reference=cathode)
+def equivalent_network(circ: LaserCircuit) -> Network:
+    """Stand-alone diode network between nodes ``anode`` and ``cathode``
+    (the reference); its cycle space has dimension one (the series arm
+    against the parallel capacitor)."""
+    return Network.from_branches(equivalent_branches(circ, "anode", "cathode"),
+                                 reference="cathode")
 

@@ -30,11 +30,8 @@ class PulseMetrics:
     ``half_crossings`` holds the rising and falling half-maximum times;
     ``fwhm`` is their difference; ``t_peak`` the time of the maximum
     sample (the earliest, if the maximum is attained more than once).
-    ``baseline`` is the reference level the half maximum was measured
-    against (zero for baseline-subtracted input).
     """
 
-    baseline: float
     peak: float
     t_peak: float
     fwhm: float
@@ -87,8 +84,7 @@ def fwhm(wave: Waveform, baseline: float = 0.0) -> PulseMetrics:
 
     t_rise = wave.t0 + wave.dt * rise_index
     t_fall = wave.t0 + wave.dt * fall_index
-    return PulseMetrics(baseline=baseline, peak=peak,
-                        t_peak=wave.t0 + wave.dt * i_pk,
+    return PulseMetrics(peak=peak, t_peak=wave.t0 + wave.dt * i_pk,
                         fwhm=wave.dt * (fall_index - rise_index),
                         half_crossings=(t_rise, t_fall))
 

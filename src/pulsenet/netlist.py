@@ -18,7 +18,7 @@ from pathlib import Path
 from .config import _stripped_lines, parse_quantity
 from .elements import (Capacitor, CurrentSource, Element, Inductor, Resistor,
                        VoltageSource)
-from .errors import ConfigError, NetlistError
+from .errors import ConfigError, NetlistError, TopologyError
 from .topology import Branch, Network
 from .waveform import Waveform, read_waveform_csv, write_waveform_csv
 
@@ -52,9 +52,10 @@ def _element_from_spec(kind: str, token: str, base_dir: Path | None,
         raise NetlistError(
             f"{where}: {kind} value {token!r} has unit {unit!r}, expected "
             f"{want!r} (or a bare SI number)")
-    if cls is Resistor:
-        return Resistor(value, allow_negative=True)
-    return cls(value)
+    try:
+        return cls(value)
+    except TopologyError as exc:
+        raise NetlistError(f"{where}: {exc}") from exc
 
 
 def parse_netlist(text: str, base_dir=None, source: str = "<netlist>") -> Network:

@@ -245,7 +245,7 @@ def _assemble(net: Network, cfg: SimConfig | None
             f"{g[bad[0]]:g} S, which is not finite; the element value is "
             "out of range")
     keep = [k for k, label in enumerate(net.nodes) if label != net.reference]
-    A = (-boundary(net).matrix[keep]).astype(np.float64)
+    A = (-boundary(net)[keep]).astype(np.float64)
     cur = [k for k, gk in enumerate(cond) if gk is None]
     A_x = A[:, cur]
     n_v = len(keep)
@@ -474,9 +474,7 @@ def transient(net: Network, cfg: SimConfig,
     # the scales.  Reactive branch currents come from cancelling companion
     # terms of magnitude g*|u|, so roundoff in the residual floats on
     # those intermediates, not on the (possibly tiny) net currents.
-    # Each column of the full incidence sums to zero, so A with minus its
-    # column sums appended is the full incidence (negated, reference last).
-    D = np.vstack([A, -A.sum(axis=0)])
+    D = boundary(net).astype(np.float64)
     max_resid = 0.0
     scale = float(np.max(np.abs(I_rec[:, 0])))
     g_u = float(np.max(step.g * np.abs(u0)))

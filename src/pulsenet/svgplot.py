@@ -99,7 +99,7 @@ def line_plot(series: Sequence[Series], title: str = "",
     px_h = HEIGHT - MARGIN_T - MARGIN_B
 
     def sx(x: float) -> float:
-        return MARGIN_L + px_w * (x - x_lo) / (x_hi - x_lo)
+        return MARGIN_L + px_w * ((x - x_lo) / (x_hi - x_lo))
 
     def sy(y: float) -> float:
         return MARGIN_T + px_h * (1.0 - (y - y_lo) / (y_hi - y_lo))

@@ -111,31 +111,14 @@ class Network:
 
 
 @dataclass(frozen=True)
-class BoundaryMatrix:
-    """Node-by-branch incidence matrix of a network (entries -1, 0, +1)."""
-
-    nodes: tuple[str, ...]
-    branch_ids: tuple[str, ...]
-    matrix: np.ndarray  # int64, shape (len(nodes), len(branch_ids)), read-only
-
-    def column(self, branch_id: str) -> np.ndarray:
-        try:
-            j = self.branch_ids.index(branch_id)
-        except ValueError:
-            raise TopologyError(f"unknown branch {branch_id!r}") from None
-        return self.matrix[:, j]
-
-
-@dataclass(frozen=True)
 class CycleBasis:
     """Integer basis of the kernel of a boundary matrix.
 
-    ``vectors[k][j]`` is the coefficient of branch ``branch_ids[j]`` in
+    ``vectors[k][j]`` is the coefficient of the network's branch j in
     the k-th basis cycle.  Each vector is primitive (gcd 1) with its
     first non-zero entry positive.
     """
 
-    branch_ids: tuple[str, ...]
     vectors: tuple[tuple[int, ...], ...]
 
     @property
@@ -143,8 +126,11 @@ class CycleBasis:
         return len(self.vectors)
 
 
-def boundary(net: Network) -> BoundaryMatrix:
+def boundary(net: Network) -> np.ndarray:
     """Incidence matrix of ``net``: column of branch b is e(end) - e(start).
+
+    Read-only int64, one row per node of ``net.nodes`` and one column per
+    branch of ``net.branches``, in their order.
 
     A self-loop contributes a zero column (it bounds nothing), which is
     exactly what makes its current free in the kernel.
@@ -154,7 +140,7 @@ def boundary(net: Network) -> BoundaryMatrix:
         mat[end, j] += 1
         mat[start, j] -= 1
     mat.setflags(write=False)
-    return BoundaryMatrix(net.nodes, net.branch_ids, mat)
+    return mat
 
 
 def _spanning_forest(net: Network) -> tuple[list[int], Callable[[int], int]]:
@@ -247,7 +233,7 @@ def cycle_space(net: Network) -> CycleBasis:
         if vec[lead] < 0:
             vec = [-v for v in vec]
         vectors.append(tuple(vec))
-    return CycleBasis(net.branch_ids, tuple(vectors))
+    return CycleBasis(tuple(vectors))
 
 
 def cycle_rank(net: Network) -> int:

@@ -473,8 +473,10 @@ def _read(path: Path) -> Waveform:
                         try:
                             dt_header = float(val)
                         except ValueError:
+                            dt_header = math.nan
+                        if not 0.0 < dt_header < math.inf:
                             raise WaveformError(
-                                f"{path}:{first}: bad dt header {val!r}") from None
+                                f"{path}:{first}: bad dt header {val!r}")
             elif line and not _is_header(line):
                 rows = _load_rows(itertools.chain([raw], fh))
                 break

@@ -23,17 +23,17 @@ def test_digest_names_each_command_its_exit_its_streams_and_its_files():
             command = line
             blocks[command] = {}
     assert [c.split()[0] for c in blocks] == [
-        "laser-params", "laser-params", "netcheck", "simulate", "simulate",
+        "laser-params", "laser-params", "netcheck", "netcheck", "simulate", "simulate",
         "sweep", "metrics", "compare", "kstest",
         "simulate", "simulate", "kstest", "netcheck", "simulate"]
     written = []
-    for rows in list(blocks.values())[:9]:
+    for rows in list(blocks.values())[:10]:
         assert rows.pop("exit") == "0"
         assert rows.pop("stderr") == EMPTY
         assert len(rows.pop("stdout")) == 64
         written.append(sorted(rows))
     assert written == [
-        [], [], [],
+        [], [], [], [],
         ["IPULSE.csv", "pulse600.csv", "pulse600.net", "pulse600.svg",
          "pulse600_i_LD_L.csv", "pulse600_v_tee.csv"],
         ["lowamp.csv"],
@@ -42,7 +42,7 @@ def test_digest_names_each_command_its_exit_its_streams_and_its_files():
         ["norm_a.csv", "norm_b.csv"],
         ["cdf.csv"]]
     # the failing commands: exit 1, an error on stderr, no file written
-    for rows in list(blocks.values())[9:]:
+    for rows in list(blocks.values())[10:]:
         assert rows.pop("exit") == "1"
         assert rows.pop("stderr") != EMPTY
         assert rows.pop("stdout") == EMPTY

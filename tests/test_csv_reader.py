@@ -45,8 +45,10 @@ def reference_read(path) -> Waveform:
                     try:
                         dt_header = float(val)
                     except ValueError:
+                        dt_header = math.nan
+                    if not (math.isfinite(dt_header) and dt_header > 0.0):
                         raise WaveformError(
-                            f"{path}:{lineno}: bad dt header {val!r}") from None
+                            f"{path}:{lineno}: bad dt header {val!r}")
             continue
         if line.lower().replace(" ", "") == "time_s,value":
             continue
@@ -155,6 +157,11 @@ EDGE_FILES = {
     "nan-before-text": ("0,1\n1,nan\n2,abc\n",
                         (2, "non-finite field in '1,nan'"), "same"),
     "tabs-and-spaces": ("time_s,value\n0 ,\t1\n\t1,  2 \n 2\t, 3\t\n", None, "same"),
+    "dt-nan": ("# dt = nan\n0,1\n1,2\n", (1, "bad dt header 'nan'"), "same"),
+    "dt-inf": ("# dt = inf\n0,1\n1,2\n", (1, "bad dt header 'inf'"), "same"),
+    "dt-zero": ("# dt = 0\n0,1\n1,2\n", (1, "bad dt header '0'"), "same"),
+    "dt-negative": ("# unit = A\n# dt = -1e-12\n0,1\n1,2\n",
+                    (2, "bad dt header '-1e-12'"), "same"),
 }
 
 

@@ -119,7 +119,7 @@ def test_nodal_residuals_sum_to_zero():
     res = run_driver(pulse_spec(), circuit(), cfg)
     net = res.network
     I = np.vstack([res.branch_currents[br.id].samples for br in net.branches])
-    D = boundary(net).matrix.astype(float)
+    D = boundary(net).astype(float)
     resid = D @ I[:, 1:]
     assert np.abs(resid).max() <= cfg.solver_tol * res.current_scale
     assert np.abs(resid.sum(axis=0)).max() <= 1e-15 * res.current_scale

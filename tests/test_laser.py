@@ -165,9 +165,10 @@ def test_circuit_validation():
 
 def test_equivalent_network_shape():
     circ = circuit_from_physics(cal_physics())
-    net = equivalent_network(circ, anode="a", cathode="k")
+    net = equivalent_network(circ)
     assert set(net.branch_ids) == {"LD_R", "LD_L", "LD_RS", "LD_RO", "LD_C"}
-    internal = set(net.nodes) - {"a", "k"}
+    assert net.reference == "cathode"
+    internal = set(net.nodes) - {"anode", "cathode"}
     assert internal == {"LD_n1", "LD_n2", "LD_n3"}
     assert cycle_space(net).dim == 1  # series chain against the parallel C
     assert circ.series_resistance == pytest.approx(2.552, abs=2e-3)

@@ -3,9 +3,11 @@
 Each row builds a bad input and names the error class and the whole
 message it must raise.  The plot whose ticks round together runs in a
 child process, under a timeout and a memory limit, so that a tick search
-that never ends fails there.  The last two tests are the two outcomes that
-are not errors: a pulse whose metrics are unavailable still runs and
-exits 0, and a series with one x value still plots.
+that never ends fails there.  Beside the resistor rows, one test pins
+the side of the rule that is not an error: a negative resistance.  The
+last two tests are the two other outcomes that are not errors: a pulse
+whose metrics are unavailable still runs and exits 0, and a series with
+one x value still plots.
 """
 
 import re
@@ -20,7 +22,7 @@ import pytest
 from pulsenet import (BiasTee, Branch, Capacitor, CurrentSource, Inductor,
                       LaserCircuit, ModelError, NetlistError, Network,
                       OutputFilter, PulsenetError, Resistor, SimConfig,
-                      SimulationError, TopologyError, boundary, cli,
+                      SimulationError, TopologyError, cli,
                       dc_operating_point, differential_resistance,
                       driver_network, emit_netlist, parse_netlist, transient)
 from pulsenet.svgplot import Series, line_plot
@@ -62,16 +64,21 @@ def test_driver_errors(build, message):
     (lambda: Capacitor(0.0), "capacitance must be a positive finite number, got 0.0"),
     (lambda: Inductor(float("inf")),
      "inductance must be a positive finite number, got inf"),
-    (lambda: Resistor(0.0, allow_negative=True),
-     "resistance must be finite and non-zero, got 0.0"),
+    (lambda: Resistor(-0.0), "resistance must be finite and non-zero, got -0.0"),
+    (lambda: Resistor(0.0), "resistance must be finite and non-zero, got 0.0"),
+    (lambda: Resistor("1k"), "resistance must be finite and non-zero, got '1k'"),
     (lambda: CurrentSource(float("nan")),
      "current source value must be a finite number or a Waveform, got nan"),
     (lambda: CurrentSource("1A"),
      "current source value must be a finite number or a Waveform, got '1A'"),
-], ids=["capacitance", "inductance", "negative-resistance", "nan-source",
-        "text-source"])
+], ids=["capacitance", "inductance", "negative-resistance", "zero-resistance",
+        "text-resistance", "nan-source", "text-source"])
 def test_elements_errors(build, message):
     raises(TopologyError, message, build)
+
+
+def test_resistor_keeps_a_negative_value():
+    assert Resistor(-5.0).ohms == -5.0
 
 
 @pytest.mark.parametrize("build, message", [
@@ -100,8 +107,7 @@ def _triangle():
     (lambda: Branch("b1", "", "x"), "branch 'b1': node labels must be non-empty"),
     (lambda: Network(("a", "a"), ()), "duplicate node labels"),
     (lambda: _triangle().branch("e9"), "unknown branch 'e9'"),
-    (lambda: boundary(_triangle()).column("e9"), "unknown branch 'e9'"),
-], ids=["empty-node", "duplicate-node", "branch", "column"])
+], ids=["empty-node", "duplicate-node", "branch"])
 def test_topology_errors(build, message):
     raises(TopologyError, message, build)
 
@@ -109,9 +115,13 @@ def test_topology_errors(build, message):
 @pytest.mark.parametrize("build, message", [
     (lambda: parse_netlist("R1 a 0 R 1qohm\n"),
      "<netlist>:1: unknown prefix 'q' at position 1 in '1qohm'"),
+    (lambda: parse_netlist("I1 0 a I 1mA\nR1 a 0 R 0\n"),
+     "<netlist>:2: resistance must be finite and non-zero, got 0.0"),
+    (lambda: parse_netlist("I1 0 a I 1mA\nC1 a 0 C -1nF\n"),
+     "<netlist>:2: capacitance must be a positive finite number, got -1e-09"),
     (lambda: emit_netlist(Network.from_branches([Branch("X1", "a", "0", "1k")])),
      "branch 'X1': cannot emit element str"),
-], ids=["quantity", "element"])
+], ids=["quantity", "zero-resistance", "negative-capacitance", "element"])
 def test_netlist_errors(build, message):
     raises(NetlistError, message, build)
 

@@ -108,7 +108,7 @@ _positive = _finite.map(abs).filter(lambda v: v > 0)
 def test_emitted_values_parse_back_bit_for_bit(ohms, henries, farads, amps, volts):
     net = Network.from_branches([
         Branch("VS", "0", "a", VoltageSource(volts)),
-        Branch("R1", "a", "b", Resistor(ohms, allow_negative=True)),
+        Branch("R1", "a", "b", Resistor(ohms)),
         Branch("L1", "b", "c", Inductor(henries)),
         Branch("C1", "c", "0", Capacitor(farads)),
         Branch("I1", "0", "c", CurrentSource(amps)),

@@ -53,6 +53,14 @@ def test_flat_series_still_renders():
     assert doc.count("<polyline ") == 1
 
 
+def test_an_x_span_near_the_float_range_keeps_finite_coordinates():
+    # px_w * (x - x_lo) overflows past an x span of about 2.4e305; the
+    # share of the span must be taken before it is scaled to pixels.
+    doc = line_plot([Series("wide", np.array([0.0, 1e307]), np.array([0.0, 1.0]))])
+    assert "inf" not in doc
+    assert '<polyline points="72,444.727 816,59.2727"' in doc
+
+
 def test_series_validation():
     with pytest.raises(PulsenetError, match="nothing to plot"):
         line_plot([])

@@ -20,13 +20,16 @@ def triangle():
 
 
 def test_boundary_entries_and_column_sums():
-    bmat = boundary(triangle())
-    assert bmat.matrix.shape == (3, 3)
-    assert set(np.unique(bmat.matrix)) <= {-1, 0, 1}
-    assert np.all(bmat.matrix.sum(axis=0) == 0)
-    col = bmat.column("e1")
-    assert col[bmat.nodes.index("a")] == -1
-    assert col[bmat.nodes.index("b")] == 1
+    net = triangle()
+    bmat = boundary(net)
+    assert type(bmat) is np.ndarray and bmat.dtype == np.int64
+    assert not bmat.flags.writeable
+    assert bmat.shape == (3, 3)
+    assert set(np.unique(bmat)) <= {-1, 0, 1}
+    assert np.all(bmat.sum(axis=0) == 0)
+    col = bmat[:, net.branch_ids.index("e1")]
+    assert col[net.nodes.index("a")] == -1
+    assert col[net.nodes.index("b")] == 1
 
 
 def test_triangle_cycle_basis_is_the_loop():
@@ -58,8 +61,7 @@ def test_self_loop_gives_zero_column_and_free_current():
         Branch("loop", "a", "a"),
         Branch("e", "a", "b"),
     ])
-    bmat = boundary(net)
-    assert np.all(bmat.column("loop") == 0)
+    assert np.all(boundary(net)[:, 0] == 0)
     basis = cycle_space(net)
     assert basis.dim == 1
     assert basis.vectors == ((1, 0),)
@@ -91,8 +93,7 @@ def test_random_networks_rank_and_kernel_exact():
     rng = np.random.default_rng(42)
     for _ in range(200):
         net = random_network(rng)
-        bmat = boundary(net)
-        assert np.all(bmat.matrix.sum(axis=0) == 0)
+        assert np.all(boundary(net).sum(axis=0) == 0)
         basis = cycle_space(net)
         assert basis.dim == cycle_rank(net)
         for vec in basis.vectors:
@@ -107,7 +108,7 @@ def test_cycle_basis_spans_the_sympy_nullspace():
     for _ in range(25):
         net = random_network(rng, max_nodes=8, max_branches=14)
         ours = cycle_space(net)
-        mat = sympy.Matrix(boundary(net).matrix.tolist())
+        mat = sympy.Matrix(boundary(net).tolist())
         null = mat.nullspace()
         assert ours.dim == len(null)
         if not null:
@@ -128,7 +129,7 @@ def test_cycle_basis_is_the_sign_normalised_sympy_nullspace():
         for _ in range(100):
             net = random_network(rng)
             null = []
-            for v in sympy.Matrix(boundary(net).matrix.tolist()).nullspace():
+            for v in sympy.Matrix(boundary(net).tolist()).nullspace():
                 vec = list(v)
                 if next(x for x in vec if x != 0) < 0:
                     vec = [-x for x in vec]
@@ -235,7 +236,6 @@ def test_cycle_basis_matches_the_label_walk_on_the_criterion_family():
         seen["isolated"] += len({n for e in ends for n in e}) < len(net.nodes)
         seen["parallel"] += len({frozenset(e) for e in ends}) < len(ends)
         basis = cycle_space(net)
-        assert basis.branch_ids == net.branch_ids
         assert basis.vectors == dict_cycle_space(net)
     assert min(seen.values()) > 100, seen
 
@@ -248,7 +248,7 @@ def test_kcl_residual_keeps_types_and_inputs():
         residual = kcl_residual(net, ints)
         assert list(residual) == list(net.nodes)
         assert all(type(v) is int for v in residual.values())
-        assert list(residual.values()) == (boundary(net).matrix @ ints).tolist()
+        assert list(residual.values()) == (boundary(net) @ ints).tolist()
 
         thirds = [Fraction(v, 3) for v in ints]
         exact = kcl_residual(net, dict(zip(net.branch_ids, thirds)))

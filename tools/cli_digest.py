@@ -2,14 +2,15 @@
 
 The README's commands run one after another, each in a fresh
 interpreter, in a temporary directory that holds a copy of
-``configs/``, so every path they are given or print is relative.  Then
-five commands that must fail run on bad flags and bad inputs: an
-unknown probe, a zero detector rise time, a missing waveform, a netlist
-with an unknown element kind and a config with an unknown key.  For
-each command the digest has its exit code and the SHA-256 of its
-stdout, of its stderr and of each file it wrote or changed.  Two
-checkouts whose command line behaves the same byte for byte, error
-messages included, print the same digest:
+``configs/``, so every path they are given or print is relative; one
+more checks the cycles of a netlist with a negative resistance, written
+beside ``configs/``.  Then five commands that must fail run on bad flags
+and bad inputs: an unknown probe, a zero detector rise time, a missing
+waveform, a netlist with an unknown element kind and a config with an
+unknown key.  For each command the digest has its exit code and the
+SHA-256 of its stdout, of its stderr and of each file it wrote or
+changed.  Two checkouts whose command line behaves the same byte for
+byte, error messages included, print the same digest:
 
     python tools/cli_digest.py [ROOT]     # ROOT: a checkout, default this one
     diff <(python tools/cli_digest.py OTHER) <(python tools/cli_digest.py)
@@ -29,6 +30,7 @@ COMMANDS = (
     ("laser-params", "--config", "configs/laser_calibration.cfg"),
     ("laser-params", "--config", "configs/laser_calibration_invert.cfg", "--invert"),
     ("netcheck", "configs/triangle.net", "--cycles"),
+    ("netcheck", "negative_r.net", "--cycles"),
     ("simulate", "--config", "configs/pulse600.cfg", "--out", "pulse600.csv",
      "--probe", "v:tee", "--probe", "i:LD_L", "--plot", "pulse600.svg",
      "--emit-netlist", "pulse600.net"),
@@ -49,8 +51,12 @@ COMMANDS = (
     ("simulate", "--config", "unknown_key.cfg", "--out", "key.csv"),
 )
 
-#: The bad inputs of the failing commands, written beside ``configs/``.
-BAD_INPUTS = {
+#: The inputs that are not shipped, written beside ``configs/``: a
+#: netlist with a negative resistance and the bad inputs of the failing
+#: commands.
+INPUTS = {
+    "negative_r.net": ("VS 0 a V 1\nR1 a b R 2.555ohm\nRO b 0 R -5.511mohm\n"
+                       "C1 a 0 C 0.3557nF\n"),
     "unknown_kind.net": "VS 0 a V 1\nQ1 a 0 Q 1\n",
     "unknown_key.cfg": "colour = blue\n",
 }
@@ -76,7 +82,7 @@ def main(argv: list[str]) -> int:
     with tempfile.TemporaryDirectory() as tmp:
         work = Path(tmp)
         shutil.copytree(Path(root, "configs"), work / "configs")
-        for name, text in BAD_INPUTS.items():
+        for name, text in INPUTS.items():
             (work / name).write_text(text, encoding="utf-8")
         before = _files(work)
         for command in COMMANDS:
