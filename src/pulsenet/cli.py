@@ -12,6 +12,7 @@ from __future__ import annotations
 
 import argparse
 import sys
+import warnings
 from dataclasses import asdict, astuple, fields
 from pathlib import Path
 
@@ -358,14 +359,17 @@ def build_parser() -> argparse.ArgumentParser:
                        help="two-sample distribution test on pulse windows")
     p.add_argument("first")
     p.add_argument("second")
-    p.add_argument("--alpha", type=float, default=0.05)
-    p.add_argument("--window-mult", type=float, default=3.0,
+    ks, cdf = kstest.ks_two_sample, kstest.waveform_samples_for_cdf
+    p.add_argument("--alpha", type=float, default=cfgmod.default_of(ks, "alpha"))
+    p.add_argument("--window-mult", type=float,
+                   default=cfgmod.default_of(cdf, "window_mult"),
                    help="half-width of the compared window in units of the "
                         "larger fwhm")
     p.add_argument("--baseline", nargs=2, metavar=("START", "STOP"),
                    help="quiet window whose mean is removed from both "
                         "inputs first")
-    p.add_argument("--resolution", type=float, default=1e-9,
+    p.add_argument("--resolution", type=float,
+                   default=cfgmod.default_of(cdf, "resolution"),
                    help="amplitude quantization of the normalized samples "
                         "(0 disables)")
     p.add_argument("--emit-cdf", metavar="FILE",
@@ -376,6 +380,11 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+def _show_warning(message, category, filename, lineno, file=None, line=None):
+    """A warning as one line, without the source path or line it came from."""
+    print(f"warning: {message}", file=sys.stderr)
+
+
 def main(argv=None) -> int:
     parser = build_parser()
     try:
@@ -383,11 +392,13 @@ def main(argv=None) -> int:
     except SystemExit as exc:  # argparse prints its own message
         code = exc.code
         return code if isinstance(code, int) else 2
-    try:
-        return args.func(args)
-    except (PulsenetError, OSError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 1
+    with warnings.catch_warnings():
+        warnings.showwarning = _show_warning
+        try:
+            return args.func(args)
+        except (PulsenetError, OSError) as exc:
+            print(f"error: {exc}", file=sys.stderr)
+            return 1
 
 
 def console_main() -> None:

@@ -9,6 +9,7 @@ typo must never silently fall back to a default.
 
 from __future__ import annotations
 
+import inspect
 import math
 import re
 from dataclasses import dataclass
@@ -16,7 +17,8 @@ from decimal import Decimal, InvalidOperation
 from pathlib import Path
 from typing import Any, Iterator, Mapping
 
-from .driver import PULSE_SHAPES, BiasTee, OutputFilter, StimulusSpec
+from .driver import (PULSE_SHAPES, BiasTee, OutputFilter, StimulusSpec,
+                     driver_network)
 from .errors import ConfigError
 from .laser import LaserCircuit, LaserPhysics, circuit_from_physics
 from .simulate import METHODS, SWEEP_PARAMS, SimConfig
@@ -74,6 +76,13 @@ def parse_quantity(text: str) -> tuple[float, str]:
         raise ConfigError(f"{raw!r} is outside the float range "
                           f"(it would read as {number:g})")
     return number, "ohm" if unit == "Ω" else unit
+
+
+def default_of(fn, name: str) -> Any:
+    """The default of ``fn``'s parameter ``name``.  A config key or a
+    command line flag that feeds a library parameter takes its default
+    from here, so the library is its one home."""
+    return inspect.signature(fn).parameters[name].default
 
 
 @dataclass(frozen=True)
@@ -208,24 +217,27 @@ _STIMULUS_KEYS: dict[str, Key] = {
     "bias": Key("A", required=True),
     "amplitude": Key("A", required=True),
     "width": Key("s", required=True),
-    "delay": Key("s", default=0.0),
-    "edge": Key("s", default=100e-12),
-    "rate": Key("Hz", default=100e3),
-    "shape": Key("enum", default="trapezoid", choices=PULSE_SHAPES),
+    "delay": Key("s", default=default_of(StimulusSpec, "delay")),
+    "edge": Key("s", default=default_of(StimulusSpec, "edge")),
+    "rate": Key("Hz", default=default_of(StimulusSpec, "rate")),
+    "shape": Key("enum", default=default_of(StimulusSpec, "shape"),
+                 choices=PULSE_SHAPES),
 }
 
 _SIM_KEYS: dict[str, Key] = {
     "t_end": Key("s", required=True),
     "dt": Key("s", required=True),
-    "method": Key("enum", default="trapezoidal", choices=METHODS),
-    "solver_tol": Key("", default=1e-9),
+    "method": Key("enum", default=default_of(SimConfig, "method"),
+                  choices=METHODS),
+    "solver_tol": Key("", default=default_of(SimConfig, "solver_tol")),
 }
 
 _DRIVER_KEYS: dict[str, Key] = {
-    "bias_tee": Key("bool", default=True),
-    "tee_coupling": Key("F", default=100e-9),
-    "tee_shunt": Key("H", default=1e-6),
-    "parasitic_L": Key("H", default=0.0),
+    "bias_tee": Key("bool", default=default_of(driver_network, "bias_tee")),
+    "tee_coupling": Key("F", default=default_of(BiasTee, "coupling_farads")),
+    "tee_shunt": Key("H", default=default_of(BiasTee, "shunt_henries")),
+    "parasitic_L": Key("H", default=default_of(driver_network,
+                                                "parasitic_inductance")),
     "filter_R": Key("ohm"),
     "filter_C": Key("F"),
 }

@@ -65,9 +65,6 @@ class CurrentSource:
     def __post_init__(self) -> None:
         _check_source("current", self.amps)
 
-    def value_at(self, t) -> float:
-        return _source_value(self.amps, t)
-
 
 @dataclass(frozen=True)
 class VoltageSource:
@@ -77,9 +74,6 @@ class VoltageSource:
 
     def __post_init__(self) -> None:
         _check_source("voltage", self.volts)
-
-    def value_at(self, t) -> float:
-        return _source_value(self.volts, t)
 
 
 Element = Resistor | Inductor | Capacitor | CurrentSource | VoltageSource
@@ -91,9 +85,3 @@ def _check_source(name: str, value: SourceValue) -> None:
     if not (isinstance(value, (int, float)) and math.isfinite(value)):
         raise TopologyError(f"{name} source value must be a finite number "
                             f"or a Waveform, got {value!r}")
-
-
-def _source_value(value: SourceValue, t) -> float:
-    if isinstance(value, Waveform):
-        return value.value_at(t)
-    return float(value)

@@ -18,7 +18,7 @@ from pathlib import Path
 from .config import _stripped_lines, parse_quantity
 from .elements import (Capacitor, CurrentSource, Element, Inductor, Resistor,
                        VoltageSource)
-from .errors import ConfigError, NetlistError, TopologyError
+from .errors import ConfigError, NetlistError, TopologyError, WaveformError
 from .topology import Branch, Network
 from .waveform import Waveform, read_waveform_csv, write_waveform_csv
 
@@ -43,7 +43,10 @@ def _element_from_spec(kind: str, token: str, base_dir: Path | None,
         path = Path(ref)
         if not path.is_absolute():
             path = (base_dir or Path.cwd()) / path
-        return cls(read_waveform_csv(path))
+        try:
+            return cls(read_waveform_csv(path))
+        except WaveformError as exc:
+            raise NetlistError(f"{where}: {exc}") from exc
     try:
         value, unit = parse_quantity(token)
     except ConfigError as exc:

@@ -157,7 +157,7 @@ class InitialCondition:
 
 @dataclass(frozen=True)
 class SimResult:
-    """Transient solution on the grid ``times``.
+    """Transient solution on ``config``'s grid t = 0, dt, ..., steps*dt.
 
     ``node_voltages`` has one waveform per node (the reference is all
     zeros); ``branch_currents`` one per branch, oriented start to end.
@@ -173,11 +173,6 @@ class SimResult:
     branch_currents: dict[str, Waveform]
     max_kcl_residual: float
     current_scale: float
-
-    @property
-    def times(self) -> np.ndarray:
-        first = next(iter(self.node_voltages.values()))
-        return first.times()
 
 
 def _solve(G: np.ndarray, rhs: np.ndarray,
@@ -562,7 +557,7 @@ def dc_operating_point(net: Network) -> InitialCondition:
             raise SimulationError(
                 f"branch {br.id!r}: waveform source spans [{value.t0:g}, "
                 f"{value.t_end:g}] s, which misses the operating point at t = 0")
-        s0[k] = br.element.value_at(0.0)
+        s0[k] = value.value_at(0.0) if isinstance(value, Waveform) else value
     # Current sources drive their nodes; a voltage source's row holds its
     # value and an inductor's (a zero-volt source at DC) holds 0.
     rhs = np.concatenate([A[:, isrc] @ -s0[isrc], s0[cur]])

@@ -1,5 +1,6 @@
 """End-to-end command line runs against the shipped configs."""
 
+import inspect
 import re
 import subprocess
 import sys
@@ -11,7 +12,7 @@ import numpy as np
 import pytest
 
 import pulsenet
-from pulsenet import cli
+from pulsenet import cli, kstest
 from pulsenet.waveform import Waveform, read_waveform_csv, write_waveform_csv
 from conftest import FWHM_PER_SIGMA, gaussian_wave, package_env
 
@@ -491,6 +492,30 @@ def test_file_that_is_not_utf8_is_an_error_not_a_traceback(tmp_path, command):
     assert proc.stderr.startswith("error:")
     assert "cannot read" in proc.stderr
     assert "Traceback" not in proc.stderr
+
+
+def test_a_library_warning_is_one_line(tmp_path):
+    # Two equal maxima: fwhm warns, and the warning reaches stderr as one
+    # line, without the source path and the source line it was raised on.
+    path = tmp_path / "twin.csv"
+    write_waveform_csv(path, Waveform(0.0, 1e-12, np.array([0, 1, 0, 0, 1, 0.0])))
+    proc = subprocess.run([sys.executable, "-m", "pulsenet.cli", "metrics",
+                           str(path)],
+                          env=package_env(), capture_output=True, text=True)
+    assert proc.returncode == 0
+    lines = proc.stderr.splitlines()
+    assert len(lines) == 1, proc.stderr
+    assert re.fullmatch(r"warning: waveform reaches its maximum .* in 2 "
+                        r"separate places; .*", lines[0])
+
+
+def test_kstest_flags_default_to_the_library():
+    args = cli.build_parser().parse_args(["kstest", "a", "b"])
+    ks = inspect.signature(kstest.ks_two_sample).parameters
+    cdf = inspect.signature(kstest.waveform_samples_for_cdf).parameters
+    assert args.alpha == ks["alpha"].default
+    assert args.window_mult == cdf["window_mult"].default
+    assert args.resolution == cdf["resolution"].default
 
 
 def test_usage_errors_exit_two(tmp_path, capsys):

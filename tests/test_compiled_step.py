@@ -160,14 +160,14 @@ def reference_operating_point(net):
             G[j, a] += 1.0
             G[j, b] -= 1.0
             if isinstance(el, VoltageSource):
-                rhs[j] = el.value_at(0.0)
+                rhs[j] = source_samples(el.volts, np.zeros(1))[0]
         elif gk:
             G[a, a] += gk
             G[b, b] += gk
             G[a, b] -= gk
             G[b, a] -= gk
         elif isinstance(el, CurrentSource):
-            val = el.value_at(0.0)
+            val = source_samples(el.amps, np.zeros(1))[0]
             rhs[a] -= val
             rhs[b] += val
     x = np.linalg.solve(G[:n_x, :n_x], rhs[:n_x])

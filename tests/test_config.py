@@ -8,12 +8,15 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from pulsenet import ConfigError, LaserCircuit
+from pulsenet import (ConfigError, LaserCircuit, SimConfig, StimulusSpec,
+                      driver_network)
 from pulsenet.config import (Key, LASER_PHYSICS_KEYS, SI_PREFIXES,
                              SIMULATE_KEYS, SWEEP_KEYS, UNITS,
                              driver_kwargs_from, laser_circuit_from,
                              load_config, parse_config_text, parse_quantity,
+                             sim_config_from, stimulus_spec_from,
                              sweep_values_from)
+from pulsenet.netlist import emit_netlist
 
 CONFIGS = Path(__file__).parent.parent / "configs"
 
@@ -227,6 +230,29 @@ def test_laser_route_detection():
     del physics["T"]
     assert laser_circuit_from(physics) == laser_circuit_from({**physics, "T": 300.0})
     assert laser_circuit_from(physics) != laser_circuit_from({**physics, "T": 310.0})
+
+
+def test_optional_keys_take_the_library_defaults(tmp_path):
+    required = {"bias": "31mA", "amplitude": "10.5mA", "width": "600ps",
+                "t_end": "2ns", "dt": "1ps"}
+    assert set(required) == {k for k, key in SIMULATE_KEYS.items()
+                             if key.required}
+    cfg = parse_config_text("".join(f"{k} = {v}\n" for k, v in required.items()),
+                            SIMULATE_KEYS)
+    spec = stimulus_spec_from(cfg)
+    assert spec == StimulusSpec(31e-3, 10.5e-3, 600e-12)
+    assert sim_config_from(cfg) == SimConfig(2e-9, 1e-12)
+    circ = LaserCircuit(**CIRCUIT)
+    # The pulse source is a waveform, so the two networks are compared
+    # as netlist text and waveform sidecar bytes.
+    sides = []
+    for name, kwargs in (("config", driver_kwargs_from(cfg)), ("library", {})):
+        out = tmp_path / name
+        out.mkdir()
+        net = driver_network(spec, circ, t_end=2e-9, dt=1e-12, **kwargs)
+        sides.append((emit_netlist(net, out),
+                      {p.name: p.read_bytes() for p in sorted(out.iterdir())}))
+    assert sides[0] == sides[1]
 
 
 def test_driver_kwargs_filter_pairing():

@@ -47,7 +47,7 @@ def test_negative_resistance_is_allowed_here():
     assert net.branch("RO").element.ohms == -5.511e-3
 
 
-def test_parse_diagnostics_carry_source_and_line():
+def test_parse_diagnostics_carry_source_and_line(tmp_path):
     with pytest.raises(NetlistError, match=r"<netlist>:2: expected 'id start"):
         parse_netlist("R1 a b R 1\nR2 a b 1")
     with pytest.raises(NetlistError, match=r":1: unknown element kind 'Q'"):
@@ -58,6 +58,13 @@ def test_parse_diagnostics_carry_source_and_line():
         parse_netlist("# nothing here\n")
     with pytest.raises(NetlistError, match="empty file reference"):
         parse_netlist("I1 0 a I file:")
+    with pytest.raises(NetlistError,
+                       match=r"^<netlist>:2: cannot read waveform file .*nope\.csv"):
+        parse_netlist("R1 a 0 R 1\nI1 0 a I file:nope.csv", base_dir=tmp_path)
+    (tmp_path / "bad.csv").write_text("0,1\n1,nan\n", encoding="ascii")
+    with pytest.raises(NetlistError,
+                       match=r"^<netlist>:1: .*bad\.csv:2: non-finite field"):
+        parse_netlist("V1 a 0 V file:bad.csv", base_dir=tmp_path)
 
 
 def test_emit_parse_round_trip(tmp_path):

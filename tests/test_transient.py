@@ -73,7 +73,7 @@ def test_result_waveforms_share_the_grid():
                for w in waves)
     assert not np.any(res.node_voltages["0"].samples)
     assert res.max_kcl_residual <= cfg.solver_tol * res.current_scale
-    assert res.times[-1] == pytest.approx(cfg.t_end, rel=1e-12)
+    assert res.node_voltages["0"].t_end == pytest.approx(cfg.t_end, rel=1e-12)
 
 
 def test_trapezoidal_conserves_oscillator_amplitude():

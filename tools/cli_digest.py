@@ -4,10 +4,10 @@ The README's commands run one after another, each in a fresh
 interpreter, in a temporary directory that holds a copy of
 ``configs/``, so every path they are given or print is relative; one
 more checks the cycles of a netlist with a negative resistance, written
-beside ``configs/``.  Then five commands that must fail run on bad flags
+beside ``configs/``.  Then six commands that must fail run on bad flags
 and bad inputs: an unknown probe, a zero detector rise time, a missing
-waveform, a netlist with an unknown element kind and a config with an
-unknown key.  For each command the digest has its exit code and the
+waveform, a netlist with an unknown element kind, a config with an
+unknown key and a netlist whose source reads a missing waveform file.  For each command the digest has its exit code and the
 SHA-256 of its stdout, of its stderr and of each file it wrote or
 changed.  Two checkouts whose command line behaves the same byte for
 byte, error messages included, print the same digest:
@@ -49,6 +49,7 @@ COMMANDS = (
     ("kstest", "missing.csv", "runs/run_000.csv"),
     ("netcheck", "unknown_kind.net"),
     ("simulate", "--config", "unknown_key.cfg", "--out", "key.csv"),
+    ("netcheck", "missing_wave.net"),
 )
 
 #: The inputs that are not shipped, written beside ``configs/``: a
@@ -59,6 +60,7 @@ INPUTS = {
                        "C1 a 0 C 0.3557nF\n"),
     "unknown_kind.net": "VS 0 a V 1\nQ1 a 0 Q 1\n",
     "unknown_key.cfg": "colour = blue\n",
+    "missing_wave.net": "I1 0 a I file:nope.csv\nR1 a 0 R 1\n",
 }
 
 #: Runs ``pulsenet.cli.main`` on the arguments, as the entry point does.
