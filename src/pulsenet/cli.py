@@ -20,19 +20,9 @@ import numpy as np
 
 from . import config as cfgmod
 from . import driver, kstest, laser, metrics, netlist, simulate, svgplot, topology
-from .errors import ConfigError, PulsenetError
+from .errors import PulsenetError
 from .waveform import (Waveform, read_waveform_csv, write_rows_csv,
                        write_waveform_csv)
-
-
-def _qty(text: str, unit: str, flag: str) -> float:
-    try:
-        value, got = cfgmod.parse_quantity(text)
-    except ConfigError as exc:
-        raise ConfigError(f"{flag}: {exc}") from None
-    if got != unit:
-        raise ConfigError(f"{flag} needs a quantity in {unit!r}, got {text!r}")
-    return value
 
 
 def _print_kv(rows: list[tuple[str, str]]) -> None:
@@ -46,7 +36,8 @@ def _print_kv(rows: list[tuple[str, str]]) -> None:
 def _cmd_laser_params(args) -> int:
     if args.invert:
         cfg = cfgmod.load_config(args.config, cfgmod.LASER_CIRCUIT_KEYS)
-        circ = cfgmod.laser_circuit_from(cfg, source=str(args.config))
+        circ = laser.LaserCircuit(**{f.name: cfg[f.name]
+                                     for f in fields(laser.LaserCircuit)})
         phys = laser.physics_from_circuit(
             circ, temperature=cfg["T"], bias_current=cfg["I_d"],
             n_e=cfg["n_e"], n_sat=cfg["n_sat"],
@@ -129,7 +120,7 @@ def _run_from_config(path, schema):
 def _cmd_simulate(args) -> int:
     _, spec, circ, sim_cfg, net_kwargs = _run_from_config(args.config,
                                                           cfgmod.SIMULATE_KEYS)
-    rise = (_qty(args.detector_rise, "s", "--detector-rise")
+    rise = (cfgmod.quantity(args.detector_rise, "s", "--detector-rise")
             if args.detector_rise else None)
     # Every flag is checked before the run, and every output is made
     # before the first file is written.
@@ -204,8 +195,8 @@ def _cmd_sweep(args) -> int:
 # --- metrics -----------------------------------------------------------------
 
 def _apply_baseline(wave: Waveform, window_args) -> tuple[Waveform, float]:
-    start = _qty(window_args[0], "s", "--baseline")
-    stop = _qty(window_args[1], "s", "--baseline")
+    start = cfgmod.quantity(window_args[0], "s", "--baseline")
+    stop = cfgmod.quantity(window_args[1], "s", "--baseline")
     removed = metrics.baseline_level(wave, (start, stop))
     return wave.with_samples(wave.samples - removed), removed
 
@@ -270,7 +261,7 @@ def _cmd_compare(args) -> int:
 def _cmd_kstest(args) -> int:
     first, second = _read_pair(args)
     if args.detector_rise:
-        rise = _qty(args.detector_rise, "s", "--detector-rise")
+        rise = cfgmod.quantity(args.detector_rise, "s", "--detector-rise")
         first = simulate.detector_filter(first, rise)
         second = simulate.detector_filter(second, rise)
     sa, sb = kstest.waveform_samples_for_cdf(first, second,

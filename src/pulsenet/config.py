@@ -78,6 +78,24 @@ def parse_quantity(text: str) -> tuple[float, str]:
     return number, "ohm" if unit == "Ω" else unit
 
 
+def quantity(text: str, unit: str, what: str) -> float:
+    """``text`` as a number in ``unit``: a base unit name, or "" for a
+    dimensionless number.  Config keys, sweep values and command line
+    flags are all read here; each message starts with ``what``."""
+    try:
+        value, got = parse_quantity(text)
+    except ConfigError as exc:
+        raise ConfigError(f"{what}: {exc}") from None
+    if got == unit:
+        return value
+    if unit == "":
+        raise ConfigError(f"{what} is dimensionless but got unit {got!r}")
+    if got == "":
+        raise ConfigError(f"{what} needs a unit in {unit!r} "
+                          f"(bare numbers are rejected), got {text!r}")
+    raise ConfigError(f"{what} expects {unit!r}, got {got!r} in {text!r}")
+
+
 def default_of(fn, name: str) -> Any:
     """The default of ``fn``'s parameter ``name``.  A config key or a
     command line flag that feeds a library parameter takes its default
@@ -114,23 +132,7 @@ def _parse_value(key: str, spec: Key, text: str, where: str) -> Any:
             raise ConfigError(
                 f"{where}: {key} must be one of {spec.choices}, got {text!r}")
         return text
-    try:
-        value, unit = parse_quantity(text)
-    except ConfigError as exc:
-        raise ConfigError(f"{where}: {key}: {exc}") from None
-    if spec.unit == "":
-        if unit:
-            raise ConfigError(
-                f"{where}: {key} is dimensionless but got unit {unit!r}")
-        return value
-    if unit == "":
-        raise ConfigError(
-            f"{where}: {key} needs a unit in {spec.unit!r} "
-            f"(bare numbers are rejected), got {text!r}")
-    if unit != spec.unit:
-        raise ConfigError(
-            f"{where}: {key} expects {spec.unit!r}, got {unit!r} in {text!r}")
-    return value
+    return quantity(text, spec.unit, f"{where}: {key}")
 
 
 def _stripped_lines(text: str, source: str) -> Iterator[tuple[str, str, str]]:
@@ -269,17 +271,21 @@ def laser_physics_from(cfg: Mapping[str, Any]):
 
 
 def laser_circuit_from(cfg: Mapping[str, Any], source: str = "<config>"):
-    """Laser element values from either config route (circuit or physics)."""
+    """Laser element values from either config route (circuit or physics).
+    A key of the route not taken is an error, not ignored."""
     has_circuit = "R" in cfg
     has_physics = "n_photon" in cfg
     routes = (f"circuit values ({', '.join(_LASER_CIRCUIT)}) or the "
               "physical operating point (n_photon, ...)")
-    if has_circuit and has_physics:
-        raise ConfigError(f"{source}: give either {routes}, not both")
     if not (has_circuit or has_physics):
         raise ConfigError(f"{source}: no laser given; provide {routes}")
-    route, table = (("circuit", _LASER_CIRCUIT) if has_circuit
-                    else ("physics", LASER_PHYSICS_KEYS))
+    route, table, other = (
+        ("circuit", _LASER_CIRCUIT, LASER_PHYSICS_KEYS) if has_circuit
+        else ("physics", LASER_PHYSICS_KEYS, _LASER_CIRCUIT))
+    stray = [k for k in other if k in cfg]
+    if stray:
+        raise ConfigError(f"{source}: give either {routes}, not both; the "
+                          f"{route} route is given, so remove {stray}")
     missing = [k for k, key in table.items() if key.required and k not in cfg]
     if missing:
         raise ConfigError(f"{source}: {route} route missing keys {missing}")
@@ -313,20 +319,6 @@ def driver_kwargs_from(cfg: Mapping[str, Any], source: str = "<config>") -> dict
 def sweep_values_from(cfg: Mapping[str, Any], source: str = "<config>"
                       ) -> list[float]:
     """Comma-separated quantity list for the swept stimulus field."""
-    want = _STIMULUS_KEYS[cfg["sweep_param"]].unit
-    values: list[float] = []
-    for item in cfg["sweep_values"].split(","):
-        item = item.strip()
-        if not item:
-            continue
-        try:
-            value, unit = parse_quantity(item)
-        except ConfigError as exc:
-            raise ConfigError(f"{source}: sweep_values: {exc}") from None
-        if unit != want:
-            raise ConfigError(
-                f"{source}: sweep value {item!r} needs unit {want!r}")
-        values.append(value)
-    if not values:
-        raise ConfigError(f"{source}: sweep_values is empty")
-    return values
+    unit = _STIMULUS_KEYS[cfg["sweep_param"]].unit
+    return [quantity(item.strip(), unit, f"{source}: sweep_values")
+            for item in cfg["sweep_values"].split(",")]

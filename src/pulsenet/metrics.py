@@ -200,13 +200,13 @@ def normalize_align(first: Waveform, second: Waveform
         s2 = w2.samples[a + kq:b + kq + 1]
     else:
         # different grids: plain resampling of the second onto the first
-        shift = float(w1.times()[k1] - w2.times()[k2])  # delay of the second
+        shift = (w1.t0 + w1.dt * k1) - (w2.t0 + w2.dt * k2)  # delay of the second
         lo_t = max(w1.t0, w2.t0 + shift)
         hi_t = min(w1.t_end, w2.t_end + shift)
         a = int(np.ceil((lo_t - w1.t0) / w1.dt - 1e-9))
         b = int(np.floor((hi_t - w1.t0) / w1.dt + 1e-9))
         tgrid = w1.t0 + w1.dt * np.arange(a, b + 1)
-        s2 = np.interp(tgrid - shift, w2.times(), w2.samples)
+        s2 = w2.value_at(tgrid - shift)
     if b - a + 1 < 2:
         raise MetricsError("waveforms do not overlap after alignment")
     s1 = w1.samples[a:b + 1]

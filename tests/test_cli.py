@@ -13,6 +13,7 @@ import pytest
 
 import pulsenet
 from pulsenet import cli, kstest
+from pulsenet import config as cfgmod
 from pulsenet.waveform import Waveform, read_waveform_csv, write_waveform_csv
 from conftest import FWHM_PER_SIGMA, gaussian_wave, package_env
 
@@ -372,7 +373,32 @@ def test_unreadable_quantity_flag_is_named(tmp_path, capsys):
         assert capsys.readouterr().err == f"error: {flag}: {why}\n"
     assert cli.main(["metrics", str(path), "--baseline", "0s", "1V"]) == 1
     assert capsys.readouterr().err == (
-        "error: --baseline needs a quantity in 's', got '1V'\n")
+        "error: --baseline expects 's', got 'V' in '1V'\n")
+
+
+@pytest.mark.parametrize("text", ["1", "1V", "1e999s", "abc", "1xs"])
+def test_config_key_sweep_value_and_flag_share_one_unit_rule(text, tmp_path,
+                                                             capsys):
+    """A bad quantity gets the same message, after the name of what was
+    read, as a config key, as a sweep value and as a flag."""
+    messages = []
+    for what, read in (
+            ("f.cfg:1: width", lambda: cfgmod.parse_config_text(
+                f"width = {text}", cfgmod.SIMULATE_KEYS, "f.cfg")),
+            ("f.cfg: sweep_values", lambda: cfgmod.sweep_values_from(
+                {"sweep_param": "width", "sweep_values": text}, "f.cfg"))):
+        with pytest.raises(pulsenet.ConfigError) as excinfo:
+            read()
+        message = str(excinfo.value)
+        assert message.startswith(what)
+        messages.append(message[len(what):])
+    path = tmp_path / "w.csv"
+    write_waveform_csv(path, gaussian_wave(150e-12, 5e-12))
+    assert cli.main(["metrics", str(path), "--baseline", text, "1ns"]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error: --baseline") and err.endswith("\n")
+    messages.append(err[len("error: --baseline"):-1])
+    assert messages[0] == messages[1] == messages[2]
 
 
 def count_transients(monkeypatch):

@@ -278,10 +278,12 @@ def test_sweep_values_parse_with_units():
     widths = {"sweep_param": "width", "sweep_values": "400ps,600ps"}
     assert sweep_values_from(widths) == [400e-12, 600e-12]
 
-    with pytest.raises(ConfigError, match="needs unit 'A'"):
+    with pytest.raises(ConfigError, match="sweep_values expects 'A', got 's' "
+                                          "in '10ns'"):
         sweep_values_from({"sweep_param": "amplitude",
                            "sweep_values": "10ns"})
-    with pytest.raises(ConfigError, match="sweep_values is empty"):
+    with pytest.raises(ConfigError, match="sweep_values: no number at the start "
+                                          "of ''"):
         sweep_values_from({"sweep_param": "delay", "sweep_values": " , "})
 
 

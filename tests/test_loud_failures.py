@@ -5,6 +5,8 @@ message it must raise.  The plot whose ticks round together runs in a
 child process, under a timeout and a memory limit, so that a tick search
 that never ends fails there.  Beside the resistor rows, one test pins
 the side of the rule that is not an error: a negative resistance.  The
+command line refuses a config line that it would otherwise ignore: a
+laser key of the route not taken and an empty sweep item.  The
 last two tests are the two other outcomes that are not errors: a pulse
 whose metrics are unavailable still runs and exits 0, and a series with
 one x value still plots.
@@ -204,6 +206,37 @@ def test_svgplot_rejects_ticks_that_round_together():
     assert (run.returncode, run.stderr) == (0, "")
     assert run.stdout == ("cannot draw the x axis over [1e+17, 1.0000000000000002e+17]: "
                           "its ticks round to equal doubles\n")
+
+
+CIRCUIT_KEYS = ("R", "L", "C", "R_spon", "R_o")
+ROUTES = ("give either circuit values (R, L, C, R_spon, R_o) or the physical "
+          "operating point (n_photon, ...)")
+
+
+@pytest.mark.parametrize("command, shipped, drop, add, message", [
+    ("simulate", "pulse600.cfg", (), "tau_spon = 5ns\n",
+     f"{ROUTES}, not both; the circuit route is given, so remove ['tau_spon']"),
+    ("sweep", "sweep_amplitude.cfg", CIRCUIT_KEYS,
+     (CONFIGS / "laser_calibration.cfg").read_text(encoding="utf-8")
+     + "C = 1F\nR_o = -1ohm\n",
+     f"{ROUTES}, not both; the physics route is given, so remove ['C', 'R_o']"),
+    ("sweep", "sweep_amplitude.cfg", ("sweep_values",),
+     "sweep_values = 10.5mA,,8.2mA\n",
+     "sweep_values: no number at the start of ''"),
+], ids=["physics-key-beside-circuit", "circuit-keys-beside-physics",
+        "empty-sweep-item"])
+def test_cli_refuses_config_lines_it_would_ignore(command, shipped, drop, add,
+                                                  message, tmp_path, capsys):
+    lines = (CONFIGS / shipped).read_text(encoding="utf-8").splitlines()
+    cfg = tmp_path / "bad.cfg"
+    cfg.write_text("\n".join(line for line in lines
+                             if line.split("=")[0].strip() not in drop)
+                   + "\n" + add, encoding="utf-8")
+    out = ["--out", str(tmp_path / "x.csv")] if command == "simulate" \
+        else ["--out-dir", str(tmp_path / "runs")]
+    assert cli.main([command, "--config", str(cfg), *out]) == 1
+    assert capsys.readouterr().err == f"error: {cfg}: {message}\n"
+    assert [p.name for p in tmp_path.iterdir()] == ["bad.cfg"]
 
 
 def test_cli_prints_that_pulse_metrics_are_unavailable(tmp_path, capsys):

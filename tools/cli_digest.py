@@ -4,12 +4,13 @@ The README's commands run one after another, each in a fresh
 interpreter, in a temporary directory that holds a copy of
 ``configs/``, so every path they are given or print is relative; one
 more checks the cycles of a netlist with a negative resistance, written
-beside ``configs/``.  Then six commands that must fail run on bad flags
-and bad inputs: an unknown probe, a zero detector rise time, a missing
-waveform, a netlist with an unknown element kind, a config with an
-unknown key and a netlist whose source reads a missing waveform file.  For each command the digest has its exit code and the
-SHA-256 of its stdout, of its stderr and of each file it wrote or
-changed.  Two checkouts whose command line behaves the same byte for
+beside ``configs/``.  Then seven commands that must fail run on bad
+flags and bad inputs: an unknown probe, a zero detector rise time, a
+missing waveform, a netlist with an unknown element kind, a config with
+an unknown key, a netlist whose source reads a missing waveform file
+and a baseline window with a bare number.  For each command the digest
+has its exit code and the SHA-256 of its stdout, of its stderr and of
+each file it wrote or changed.  Two checkouts whose command line behaves the same byte for
 byte, error messages included, print the same digest:
 
     python tools/cli_digest.py [ROOT]     # ROOT: a checkout, default this one
@@ -50,6 +51,7 @@ COMMANDS = (
     ("netcheck", "unknown_kind.net"),
     ("simulate", "--config", "unknown_key.cfg", "--out", "key.csv"),
     ("netcheck", "missing_wave.net"),
+    ("metrics", "pulse600.csv", "--baseline", "0", "1ns"),
 )
 
 #: The inputs that are not shipped, written beside ``configs/``: a
