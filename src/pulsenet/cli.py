@@ -11,9 +11,11 @@ networks, unreadable files), 2 for command line usage errors.
 from __future__ import annotations
 
 import argparse
+import re
 import sys
 import warnings
 from dataclasses import asdict, astuple, fields
+from functools import partial
 from pathlib import Path
 
 import numpy as np
@@ -120,19 +122,15 @@ def _run_from_config(path, schema):
 def _cmd_simulate(args) -> int:
     _, spec, circ, sim_cfg, net_kwargs = _run_from_config(args.config,
                                                           cfgmod.SIMULATE_KEYS)
-    rise = (cfgmod.quantity(args.detector_rise, "s", "--detector-rise")
-            if args.detector_rise else None)
-    # Every flag is checked before the run, and every output is made
+    # The probes are checked before the run, and every output is made
     # before the first file is written.
-    if rise is not None and not rise > 0:
-        raise simulate.SimulationError(f"rise time must be > 0 s, got {rise}")
     net = driver.driver_network(spec, circ, t_end=sim_cfg.steps * sim_cfg.dt,
                                 dt=sim_cfg.dt, **net_kwargs)
     targets = [_probe_target(net, probe) for probe in args.probe]
     result = simulate.transient(net, sim_cfg, simulate.dc_operating_point(net))
     sense = simulate.sense_current(result)
-    if rise is not None:
-        sense = simulate.detector_filter(sense, rise)
+    if args.detector_rise is not None:
+        sense = simulate.detector_filter(sense, args.detector_rise)
     probes = [getattr(result, record)[name] for record, name in targets]
 
     if args.emit_netlist:
@@ -194,18 +192,12 @@ def _cmd_sweep(args) -> int:
 
 # --- metrics -----------------------------------------------------------------
 
-def _apply_baseline(wave: Waveform, window_args) -> tuple[Waveform, float]:
-    start = cfgmod.quantity(window_args[0], "s", "--baseline")
-    stop = cfgmod.quantity(window_args[1], "s", "--baseline")
-    removed = metrics.baseline_level(wave, (start, stop))
-    return wave.with_samples(wave.samples - removed), removed
-
-
 def _cmd_metrics(args) -> int:
     wave = read_waveform_csv(args.waveform)
     removed = 0.0
     if args.baseline:
-        wave, removed = _apply_baseline(wave, args.baseline)
+        removed = metrics.baseline_level(wave, args.baseline)
+        wave = wave.with_samples(wave.samples - removed)
     m = metrics.fwhm(wave)
     rows = [
         ("samples", str(len(wave))),
@@ -229,14 +221,13 @@ def _read_pair(args) -> tuple[Waveform, Waveform]:
     each."""
     waves = [read_waveform_csv(args.first), read_waveform_csv(args.second)]
     if args.baseline:
-        waves = [_apply_baseline(w, args.baseline)[0] for w in waves]
+        waves = [metrics.baseline_subtract(w, args.baseline) for w in waves]
     return waves[0], waves[1]
 
 
 def _cmd_compare(args) -> int:
     first, second = _read_pair(args)
-    level = float(args.level)
-    delay = metrics.delay_at_level(first, second, level)
+    delay = metrics.delay_at_level(first, second, args.level)
     rows = [("delay at level", f"{delay:.9g} s (positive: second later)")]
     for name, wave in (("first", first), ("second", second)):
         try:
@@ -260,10 +251,9 @@ def _cmd_compare(args) -> int:
 
 def _cmd_kstest(args) -> int:
     first, second = _read_pair(args)
-    if args.detector_rise:
-        rise = cfgmod.quantity(args.detector_rise, "s", "--detector-rise")
-        first = simulate.detector_filter(first, rise)
-        second = simulate.detector_filter(second, rise)
+    if args.detector_rise is not None:
+        first = simulate.detector_filter(first, args.detector_rise)
+        second = simulate.detector_filter(second, args.detector_rise)
     sa, sb = kstest.waveform_samples_for_cdf(first, second,
                                              window_mult=args.window_mult,
                                              resolution=args.resolution)
@@ -291,11 +281,38 @@ def _cmd_kstest(args) -> int:
 
 # --- parser ------------------------------------------------------------------
 
+class _Parser(argparse.ArgumentParser):
+    """Reads a token of "-" and a digit, such as ``-4ns`` or ``-.5ns``,
+    as a value, not an option: no pulsenet option starts with a digit."""
+
+    def __init__(self, *args, **kwargs):
+        super().__init__(*args, **kwargs)
+        self._negative_number_matcher = re.compile(r"^-\.?\d")
+
+
+def _rise_time(text: str) -> float:
+    rise = cfgmod.quantity(text, "s", "--detector-rise")
+    if not rise > 0:
+        raise simulate.SimulationError(f"rise time must be > 0 s, got {rise}")
+    return rise
+
+
 def build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
+    """The command line.  Every flag but ``--config`` and ``--probe`` is
+    read here, before a command reads any input."""
+    parser = _Parser(
         prog="pulsenet",
         description="pulsed laser driver simulation and pulse metrology")
     sub = parser.add_subparsers(dest="command", required=True)
+    baseline = argparse.ArgumentParser(add_help=False)
+    baseline.add_argument("--baseline", nargs=2, metavar=("START", "STOP"),
+                          type=partial(cfgmod.quantity, unit="s", what="--baseline"),
+                          help="quiet window (e.g. 0s 1ns or -2ns -1ns) whose "
+                               "mean is removed from each input first")
+    rise = argparse.ArgumentParser(add_help=False)
+    rise.add_argument("--detector-rise", metavar="QTY", type=_rise_time,
+                      help="apply the detector response of this 10-90 rise "
+                           "time, e.g. 500ps")
 
     p = sub.add_parser("laser-params",
                        help="equivalent-circuit values from the operating "
@@ -312,15 +329,14 @@ def build_parser() -> argparse.ArgumentParser:
                    help="print the integer cycle basis")
     p.set_defaults(func=_cmd_netcheck)
 
-    p = sub.add_parser("simulate", help="transient run of the driver network")
+    p = sub.add_parser("simulate", parents=[rise],
+                       help="transient run of the driver network")
     p.add_argument("--config", required=True)
     p.add_argument("--out", required=True, help="drive-current CSV")
     p.add_argument("--probe", action="append", default=[],
                    metavar="NAME", help="extra output: branch id or v:NODE "
                                         "(repeatable)")
     p.add_argument("--plot", help="write an SVG of the drive current")
-    p.add_argument("--detector-rise", metavar="QTY",
-                   help="apply the detector response, e.g. 500ps")
     p.add_argument("--emit-netlist", metavar="FILE",
                    help="write the assembled network as a netlist")
     p.set_defaults(func=_cmd_simulate)
@@ -330,23 +346,22 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--out-dir", help="write per-run CSVs and summary.csv")
     p.set_defaults(func=_cmd_sweep)
 
-    p = sub.add_parser("metrics", help="pulse measurements of one waveform")
+    p = sub.add_parser("metrics", parents=[baseline],
+                       help="pulse measurements of one waveform")
     p.add_argument("waveform")
-    p.add_argument("--baseline", nargs=2, metavar=("START", "STOP"),
-                   help="quiet window (e.g. 0s 1ns) whose mean is removed")
     p.set_defaults(func=_cmd_metrics)
 
-    p = sub.add_parser("compare", help="delay and shape of two waveforms")
+    p = sub.add_parser("compare", parents=[baseline],
+                       help="delay and shape of two waveforms")
     p.add_argument("first")
     p.add_argument("second")
     p.add_argument("--level", required=True, type=float,
                    help="crossing level in waveform units")
-    p.add_argument("--baseline", nargs=2, metavar=("START", "STOP"))
     p.add_argument("--out-prefix",
                    help="write normalized, aligned copies as PREFIX_a/b.csv")
     p.set_defaults(func=_cmd_compare)
 
-    p = sub.add_parser("kstest",
+    p = sub.add_parser("kstest", parents=[baseline, rise],
                        help="two-sample distribution test on pulse windows")
     p.add_argument("first")
     p.add_argument("second")
@@ -356,17 +371,12 @@ def build_parser() -> argparse.ArgumentParser:
                    default=cfgmod.default_of(cdf, "window_mult"),
                    help="half-width of the compared window in units of the "
                         "larger fwhm")
-    p.add_argument("--baseline", nargs=2, metavar=("START", "STOP"),
-                   help="quiet window whose mean is removed from both "
-                        "inputs first")
     p.add_argument("--resolution", type=float,
                    default=cfgmod.default_of(cdf, "resolution"),
                    help="amplitude quantization of the normalized samples "
                         "(0 disables)")
     p.add_argument("--emit-cdf", metavar="FILE",
                    help="write both empirical step functions as x,F_a,F_b")
-    p.add_argument("--detector-rise", metavar="QTY",
-                   help="apply the detector response to both inputs first")
     p.set_defaults(func=_cmd_kstest)
     return parser
 
@@ -377,16 +387,13 @@ def _show_warning(message, category, filename, lineno, file=None, line=None):
 
 
 def main(argv=None) -> int:
-    parser = build_parser()
-    try:
-        args = parser.parse_args(argv)
-    except SystemExit as exc:  # argparse prints its own message
-        code = exc.code
-        return code if isinstance(code, int) else 2
     with warnings.catch_warnings():
         warnings.showwarning = _show_warning
         try:
+            args = build_parser().parse_args(argv)
             return args.func(args)
+        except SystemExit as exc:  # argparse prints its own message
+            return exc.code if isinstance(exc.code, int) else 2
         except (PulsenetError, OSError) as exc:
             print(f"error: {exc}", file=sys.stderr)
             return 1

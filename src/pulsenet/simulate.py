@@ -260,28 +260,25 @@ def _assemble(net: Network, cfg: SimConfig | None
     return row, G, A, g, cur, index
 
 
-def _source_samples(br: Branch, times: np.ndarray) -> np.ndarray:
-    """Read-only value of a source branch on the simulation grid (aligned
-    waveforms verbatim, without a copy).  A waveform must span the grid
-    to within half a step."""
+def _source_samples(br: Branch, dt: float, n: int) -> np.ndarray:
+    """Read-only value of a source branch on the simulation grid 0, dt,
+    ..., (n - 1)·dt (aligned waveforms verbatim, without a copy).  A
+    waveform must span the grid to within half a step; the grid itself
+    is built only to interpolate a waveform that is not aligned."""
     el = br.element
     value = el.amps if isinstance(el, CurrentSource) else el.volts
     if isinstance(value, Waveform):
-        n = times.size
-        dt = float(times[1] - times[0])
-        if (value.t0 > times[0] + 0.5 * dt
-                or value.t_end < times[-1] - 0.5 * dt):
+        t_end = dt * (n - 1)
+        if value.t0 > 0.5 * dt or value.t_end < t_end - 0.5 * dt:
             raise SimulationError(
                 f"branch {br.id!r}: waveform source spans [{value.t0:g}, "
-                f"{value.t_end:g}] s, short of the run [{times[0]:g}, "
-                f"{times[-1]:g}] s")
-        aligned = (len(value) >= n
-                   and abs(value.t0 - times[0]) <= 1e-9 * dt
+                f"{value.t_end:g}] s, short of the run [0, {t_end:g}] s")
+        aligned = (len(value) >= n and abs(value.t0) <= 1e-9 * dt
                    and abs(value.dt - dt) <= 1e-12 * dt)
         if aligned:
             return value.samples[:n]
-        return value.value_at(times)
-    return np.broadcast_to(float(value), times.shape)
+        return value.value_at(dt * np.arange(n))
+    return np.broadcast_to(float(value), n)
 
 
 @dataclass(frozen=True, eq=False)
@@ -425,12 +422,12 @@ def transient(net: Network, cfg: SimConfig,
     v0 = v0[:-1]
 
     steps = cfg.steps
-    # node voltages but the reference's, branch currents and the time grid
+    # node voltages but the reference's and branch currents, with one
+    # row to spare for the grid that an off-grid source is read on
     require_memory(8 * (steps + 1) * (len(net.nodes) + len(net.branches)),
                    f"the record of {steps:,} steps")
-    times = cfg.dt * np.arange(steps + 1)
     res_idx, cap_idx, ind_idx, isrc_idx, vsrc_idx = step.index.values()
-    sources = [_source_samples(net.branches[k], times)
+    sources = [_source_samples(net.branches[k], cfg.dt, steps + 1)
                for k in (*isrc_idx, *vsrc_idx)]
     n_c, n_i = len(cap_idx), len(isrc_idx)
     # State layout: cap_u, cap_i, ind_u, ind_i.
@@ -536,6 +533,18 @@ def transient(net: Network, cfg: SimConfig,
     return SimResult(net, cfg, node_waves, branch_waves, max_resid, scale)
 
 
+def _value_at_zero(wave: Waveform) -> float:
+    """``wave.value_at(0.0)`` without building ``wave.times()``: the same
+    interpolation over the (at most) four samples around t = 0, with
+    ``times``'s formula on their own indices.  floor(-t0 / dt) is within
+    one sample of the pair that brackets t = 0, so they hold that pair,
+    or the end sample that the interpolation clamps to."""
+    lo = max(min(math.floor(-wave.t0 / wave.dt) - 1, len(wave) - 4), 0)
+    near = wave.samples[lo:lo + 4]
+    times = wave.t0 + wave.dt * np.arange(lo, lo + len(near), dtype=np.float64)
+    return float(np.interp(0.0, times, near))
+
+
 def dc_operating_point(net: Network) -> InitialCondition:
     """Steady state with sources held at their t = 0 values.
 
@@ -557,7 +566,7 @@ def dc_operating_point(net: Network) -> InitialCondition:
             raise SimulationError(
                 f"branch {br.id!r}: waveform source spans [{value.t0:g}, "
                 f"{value.t_end:g}] s, which misses the operating point at t = 0")
-        s0[k] = value.value_at(0.0) if isinstance(value, Waveform) else value
+        s0[k] = _value_at_zero(value) if isinstance(value, Waveform) else value
     # Current sources drive their nodes; a voltage source's row holds its
     # value and an inductor's (a zero-volt source at DC) holds 0.
     rhs = np.concatenate([A[:, isrc] @ -s0[isrc], s0[cur]])

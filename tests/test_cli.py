@@ -12,7 +12,7 @@ import numpy as np
 import pytest
 
 import pulsenet
-from pulsenet import cli, kstest
+from pulsenet import cli, kstest, metrics
 from pulsenet import config as cfgmod
 from pulsenet.waveform import Waveform, read_waveform_csv, write_waveform_csv
 from conftest import FWHM_PER_SIGMA, gaussian_wave, package_env
@@ -200,13 +200,52 @@ def test_baseline_removed_is_the_level_subtracted(tmp_path, capsys):
     window = pedestal.samples[:201]
     assert np.all(window == 31e-3)
 
-    subtracted, removed = cli._apply_baseline(pedestal, ["0s", "1ns"])
+    removed = metrics.baseline_level(pedestal, (0.0, 1e-9))
+    subtracted = metrics.baseline_subtract(pedestal, (0.0, 1e-9))
     assert np.all(window - subtracted.samples[:201] == removed)
 
     path = tmp_path / "pulse.csv"
     write_waveform_csv(path, pedestal)
     assert cli.main(["metrics", str(path), "--baseline", "0s", "1ns"]) == 0
     assert kv(capsys.readouterr().out)["baseline removed"] == f"{removed:.9g}"
+
+
+def test_baseline_window_may_start_before_zero(tmp_path, capsys):
+    # An oscilloscope export has pre-trigger samples at negative times;
+    # "-2ns" is a value of --baseline, not an option.
+    wave = gaussian_wave(150e-12, 5e-12, center=1e-9, t0=-5e-9,
+                         half_span=4e-9, amplitude=7.5e-3, unit="A")
+    assert wave.t0 < -2e-9
+    pedestal = wave.with_samples(wave.samples + 31e-3)
+    path = tmp_path / "pretrigger.csv"
+    write_waveform_csv(path, pedestal)
+    removed = metrics.baseline_level(pedestal, (-2e-9, -1e-9))
+    for window in (["-2ns", "-1ns"], ["-2e-9s", "-.001us"]):
+        assert cli.main(["metrics", str(path), "--baseline", *window]) == 0
+        assert kv(capsys.readouterr().out)["baseline removed"] == f"{removed:.9g}"
+    assert cli.main(["compare", str(path), str(path), "--level", "0.004",
+                     "--baseline", "-2ns", "-1ns"]) == 0
+    assert kv(capsys.readouterr().out)["delay at level"].startswith("0 s")
+
+
+@pytest.mark.parametrize("argv, err", [
+    (["metrics", "missing.csv", "--baseline", "0", "1ns"],
+     "error: --baseline needs a unit in 's' (bare numbers are rejected), "
+     "got '0'\n"),
+    (["compare", "missing.csv", "missing.csv", "--level", "1",
+      "--baseline", "0s", "1V"],
+     "error: --baseline expects 's', got 'V' in '1V'\n"),
+    (["kstest", "missing.csv", "missing.csv", "--detector-rise", "0s"],
+     "error: rise time must be > 0 s, got 0.0\n"),
+    (["simulate", "--config", "missing.cfg", "--out", "x.csv",
+      "--detector-rise", "-5ps"],
+     "error: rise time must be > 0 s, got -5e-12\n"),
+], ids=["metrics", "compare", "kstest", "simulate"])
+def test_a_bad_flag_is_named_before_any_input_is_read(tmp_path, capsys,
+                                                      monkeypatch, argv, err):
+    monkeypatch.chdir(tmp_path)
+    assert cli.main(argv) == 1
+    assert capsys.readouterr().err == err
 
 
 @pytest.mark.parametrize("module", ["pulsenet", "pulsenet.cli"])

@@ -24,11 +24,11 @@ def test_digest_names_each_command_its_exit_its_streams_and_its_files():
             blocks[command] = {}
     assert [c.split()[0] for c in blocks] == [
         "laser-params", "laser-params", "netcheck", "netcheck", "simulate", "simulate",
-        "sweep", "metrics", "compare", "kstest",
+        "sweep", "metrics", "compare", "kstest", "metrics",
         "simulate", "simulate", "kstest", "netcheck", "simulate", "netcheck",
         "metrics"]
     written = []
-    for rows in list(blocks.values())[:10]:
+    for rows in list(blocks.values())[:11]:
         assert rows.pop("exit") == "0"
         assert rows.pop("stderr") == EMPTY
         assert len(rows.pop("stdout")) == 64
@@ -41,9 +41,10 @@ def test_digest_names_each_command_its_exit_its_streams_and_its_files():
         ["runs/run_000.csv", "runs/run_001.csv", "runs/summary.csv"],
         [],
         ["norm_a.csv", "norm_b.csv"],
-        ["cdf.csv"]]
+        ["cdf.csv"],
+        []]
     # the failing commands: exit 1, an error on stderr, no file written
-    for rows in list(blocks.values())[10:]:
+    for rows in list(blocks.values())[11:]:
         assert rows.pop("exit") == "1"
         assert rows.pop("stderr") != EMPTY
         assert rows.pop("stdout") == EMPTY

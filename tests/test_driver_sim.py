@@ -13,7 +13,7 @@ from pulsenet import (Branch, Capacitor, CurrentSource, InitialCondition,
                       SimConfig, SimulationError, SweepPoint, Waveform,
                       boundary, dc_operating_point, detector_filter,
                       driver_network, fwhm, run_driver, sense_current,
-                      stimulus, sweep_runs, transient)
+                      simulate, stimulus, sweep_runs, transient)
 from conftest import BIAS, ELEMENT_TABLE, pulse_spec, traced_peak
 
 
@@ -302,6 +302,50 @@ def test_transient_keeps_its_record_and_one_zero_for_the_reference():
     assert kept <= recorded + 100_000
     zero = res.node_voltages[net.reference].samples
     assert zero.shape == (steps + 1,) and not zero.any()
+
+
+def driver_of(steps):
+    cfg = SimConfig(t_end=steps * 1e-12, dt=1e-12)
+    net = driver_network(pulse_spec(), circuit(), t_end=cfg.steps * cfg.dt,
+                         dt=cfg.dt)
+    return net, cfg
+
+
+def test_transient_needs_no_time_axis_beside_its_record():
+    # The sources are read on the run's grid without building it, so
+    # what transient holds beside its record does not grow with the run.
+    above = []
+    for steps in (100_000, 200_000):
+        net, cfg = driver_of(steps)
+        peak = traced_peak(transient, net, cfg, dc_operating_point(net))
+        above.append(peak - 8 * (steps + 1) * (len(net.nodes) - 1
+                                                + len(net.branches)))
+    assert abs(above[1] - above[0]) <= 100_000
+
+
+def test_operating_point_reads_t0_without_a_source_time_axis():
+    peaks = [traced_peak(dc_operating_point, driver_of(steps)[0])
+             for steps in (20_000, 200_000)]
+    assert abs(peaks[1] - peaks[0]) <= 16_384
+
+
+def test_operating_point_source_value_is_the_interpolation_at_zero():
+    # t = 0 read from the samples around it equals the interpolation
+    # over the whole time axis, bit for bit, with t0 below, at and above
+    # 0 on the grid and off it, and t = 0 at or past either end.
+    rng = np.random.default_rng(26)
+    for _ in range(20_000):
+        n = int(rng.integers(2, 40))
+        dt = float(10.0 ** rng.uniform(-15, -3))
+        k = int(rng.integers(0, n))
+        t0 = -(k + rng.choice([0.0, 0.5, -0.5, rng.uniform(-0.5, 0.5)])) * dt
+        if rng.random() < 0.05:
+            t0 = float(rng.choice([0.0, -0.0]))
+        wave = Waveform(t0, dt, rng.normal(0.0, 10.0 ** rng.uniform(-6, 3), n))
+        if not (wave.t0 <= 0.5 * dt and wave.t_end >= -0.5 * dt):
+            continue
+        assert (simulate._value_at_zero(wave).hex()
+                == wave.value_at(0.0).hex()), (wave.t0, wave.dt, n)
 
 
 def test_backward_euler_dissipates_stored_energy():

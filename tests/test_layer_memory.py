@@ -16,16 +16,16 @@ def test_reports_each_layer_peak_and_its_multiple_of_the_input():
     head, *lines = out.splitlines()
     assert head.split() == ["layer", "samples", "peak_MB", "x_input"]
     rows = [line.split() for line in lines]
-    assert [r[0] for r in rows] == ["transient", "write_waveform_csv",
-                                    "read_waveform_csv", "detector_filter",
-                                    "ks_two_sample"]
+    assert [r[0] for r in rows] == ["transient", "operating_point",
+                                    "write_waveform_csv", "read_waveform_csv",
+                                    "detector_filter", "ks_two_sample"]
     # the shipped driver records each node voltage but the reference's
     # and each branch current
     cfg = config.load_config(ROOT / "configs" / "pulse600.cfg", config.SIMULATE_KEYS)
     net = driver_network(config.stimulus_spec_from(cfg), config.laser_circuit_from(cfg),
                          t_end=cfg["t_end"], dt=cfg["dt"])
     recorded = (len(net.nodes) - 1 + len(net.branches)) * 3001
-    assert [int(r[1]) for r in rows] == [recorded, 3001, 3001, 3001, 6002]
+    assert [int(r[1]) for r in rows] == [recorded, 3001, 3001, 3001, 3001, 6002]
     for _, samples, peak_mb, ratio in rows:
         # both columns are rounded to two decimals
         input_bytes = 8 * int(samples)

@@ -2,13 +2,15 @@
 
 The README's commands run one after another, each in a fresh
 interpreter, in a temporary directory that holds a copy of
-``configs/``, so every path they are given or print is relative; one
-more checks the cycles of a netlist with a negative resistance, written
-beside ``configs/``.  Then seven commands that must fail run on bad
-flags and bad inputs: an unknown probe, a zero detector rise time, a
-missing waveform, a netlist with an unknown element kind, a config with
-an unknown key, a netlist whose source reads a missing waveform file
-and a baseline window with a bare number.  For each command the digest
+``configs/``, so every path they are given or print is relative.  Two
+more run on inputs written beside ``configs/``: one checks the cycles
+of a netlist with a negative resistance, and one removes the baseline
+of a pulse sampled from before t = 0 over a window at negative times.
+Then seven commands that must fail run on bad flags and bad inputs: an
+unknown probe, a zero detector rise time, a missing waveform, a netlist
+with an unknown element kind, a config with an unknown key, a netlist
+whose source reads a missing waveform file and a baseline window with
+a bare number.  For each command the digest
 has its exit code and the SHA-256 of its stdout, of its stderr and of
 each file it wrote or changed.  Two checkouts whose command line behaves the same byte for
 byte, error messages included, print the same digest:
@@ -43,6 +45,7 @@ COMMANDS = (
      "--baseline", "0s", "1ns", "--out-prefix", "norm"),
     ("kstest", "runs/run_000.csv", "runs/run_001.csv", "--alpha", "0.05",
      "--baseline", "0s", "1ns", "--detector-rise", "500ps", "--emit-cdf", "cdf.csv"),
+    ("metrics", "pretrigger.csv", "--baseline", "-2ns", "-1ns"),
     ("simulate", "--config", "configs/pulse600.cfg", "--out", "probe.csv",
      "--probe", "v:NOPE"),
     ("simulate", "--config", "configs/pulse600.cfg", "--out", "rise.csv",
@@ -55,11 +58,15 @@ COMMANDS = (
 )
 
 #: The inputs that are not shipped, written beside ``configs/``: a
-#: netlist with a negative resistance and the bad inputs of the failing
-#: commands.
+#: netlist with a negative resistance, a 7.5 mA triangle pulse on a
+#: 31 mA pedestal sampled every 0.1 ns from -5 ns, as an oscilloscope
+#: exports it, and the bad inputs of the failing commands.
 INPUTS = {
     "negative_r.net": ("VS 0 a V 1\nR1 a b R 2.555ohm\nRO b 0 R -5.511mohm\n"
                        "C1 a 0 C 0.3557nF\n"),
+    "pretrigger.csv": "time_s,value\n" + "".join(
+        f"{k}e-10,{0.031 + 0.0075 * max(1 - abs(k - 10) / 5, 0):.17g}\n"
+        for k in range(-50, 31)),
     "unknown_kind.net": "VS 0 a V 1\nQ1 a 0 Q 1\n",
     "unknown_key.cfg": "colour = blue\n",
     "missing_wave.net": "I1 0 a I file:nope.csv\nR1 a 0 R 1\n",

@@ -5,10 +5,12 @@ its peak, output included, is printed in MB and as a multiple of its
 input's bytes.  For ``transient``, which runs the shipped 600 ps driver
 (``configs/pulse600.cfg``) for N - 1 steps from its operating point,
 that is the bytes of the record it returns: n samples for each node but
-the reference and for each branch.  The input is the record's n float64
-samples for ``write_waveform_csv``, ``read_waveform_csv`` (of the file
-the writer made) and ``detector_filter``, and the two populations of n
-samples each for ``ks_two_sample``.  These are the memory figures that
+the reference and for each branch.  ``dc_operating_point`` runs on the
+same driver, and its input is the n samples of the driver's pulse
+source.  The input is the record's n float64 samples for
+``write_waveform_csv``, ``read_waveform_csv`` (of the file the writer
+made) and ``detector_filter``, and the two populations of n samples
+each for ``ks_two_sample``.  These are the memory figures that
 CHANGES.md and ROADMAP.md cite.
 
     python tools/layer_memory.py [N]      # N samples per record, default 200001
@@ -56,6 +58,7 @@ def main(argv: list[str]) -> int:
         layers = [
             ("transient", simulate.transient,
              (net, sim, simulate.dc_operating_point(net)), recorded),
+            ("operating_point", simulate.dc_operating_point, (net,), n),
             ("write_waveform_csv", waveform.write_waveform_csv, (path, wave), n),
             ("read_waveform_csv", waveform.read_waveform_csv, (path,), n),
             ("detector_filter", simulate.detector_filter, (wave, 500e-12), n),
