@@ -297,6 +297,19 @@ def _rise_time(text: str) -> float:
     return rise
 
 
+def _checked_float(check):
+    """An argparse type: the text as a float, as ``type=float`` reads it,
+    then ``check`` of it, whose error names the value."""
+    def read(text: str) -> float:
+        try:
+            value = float(text)
+        except ValueError:
+            raise argparse.ArgumentTypeError(
+                f"invalid float value: {text!r}") from None
+        return check(value)
+    return read
+
+
 def build_parser() -> argparse.ArgumentParser:
     """The command line.  Every flag but ``--config`` and ``--probe`` is
     read here, before a command reads any input."""
@@ -355,7 +368,8 @@ def build_parser() -> argparse.ArgumentParser:
                        help="delay and shape of two waveforms")
     p.add_argument("first")
     p.add_argument("second")
-    p.add_argument("--level", required=True, type=float,
+    p.add_argument("--level", required=True,
+                   type=_checked_float(metrics.crossing_level),
                    help="crossing level in waveform units")
     p.add_argument("--out-prefix",
                    help="write normalized, aligned copies as PREFIX_a/b.csv")
@@ -366,12 +380,13 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("first")
     p.add_argument("second")
     ks, cdf = kstest.ks_two_sample, kstest.waveform_samples_for_cdf
-    p.add_argument("--alpha", type=float, default=cfgmod.default_of(ks, "alpha"))
-    p.add_argument("--window-mult", type=float,
+    p.add_argument("--alpha", type=_checked_float(kstest.significance),
+                   default=cfgmod.default_of(ks, "alpha"))
+    p.add_argument("--window-mult", type=_checked_float(kstest.window_multiple),
                    default=cfgmod.default_of(cdf, "window_mult"),
                    help="half-width of the compared window in units of the "
                         "larger fwhm")
-    p.add_argument("--resolution", type=float,
+    p.add_argument("--resolution", type=_checked_float(kstest.amplitude_resolution),
                    default=cfgmod.default_of(cdf, "resolution"),
                    help="amplitude quantization of the normalized samples "
                         "(0 disables)")

@@ -163,12 +163,14 @@ def stimulus(spec: StimulusSpec, t_end: float, dt: float,
     n = int(round((t_end - t0) / dt)) + 1
     if n < 2:
         raise SimulationError(f"grid [{t0:g}, {t_end:g}] s holds fewer than two samples")
-    # the time grid, the train and its scaled copy
-    require_memory(3 * 8 * n, f"the stimulus on {n:,} samples")
-    t = t0 + dt * np.arange(n)
+    require_memory(8 * n, f"the stimulus on {n:,} samples")
+    # The train is the one array built; the sample times t0 + k·dt are
+    # formed for each pulse's own slice of k.  The first is t0 + 0·dt,
+    # which reads a t0 of -0.0 as 0.0.
+    start = t0 + dt * 0
     out = np.zeros(n)
-    first = math.floor((t[0] - spec.pulse_center(0)) * spec.rate) - 1
-    last = math.ceil((t[-1] - spec.pulse_center(0)) * spec.rate) + 1
+    first = math.floor((start - spec.pulse_center(0)) * spec.rate) - 1
+    last = math.ceil((t0 + dt * (n - 1) - spec.pulse_center(0)) * spec.rate) + 1
     for k in range(max(first, 0), last + 1):
         center = spec.pulse_center(k)
         if spec.shape == "gaussian":   # nonzero everywhere
@@ -179,8 +181,10 @@ def stimulus(spec: StimulusSpec, t_end: float, dt: float,
             lo = max(math.floor((center - 0.5 * spec.extent - t0) / dt) - 1, 0)
             hi = min(math.ceil((center + 0.5 * spec.extent - t0) / dt) + 2, n)
         if lo < hi:
-            out[lo:hi] += _shape_values(spec, t[lo:hi] - center)
-    return Waveform(t[0], dt, spec.amplitude * out, "A")
+            out[lo:hi] += _shape_values(spec, t0 + dt * np.arange(lo, hi) - center)
+    out *= spec.amplitude
+    out.setflags(write=False)
+    return Waveform(start, dt, out, "A")
 
 
 @dataclass(frozen=True)

@@ -95,6 +95,27 @@ def kolmogorov_q(lam: float) -> float:
     return min(1.0, max(0.0, 2.0 * total))
 
 
+def significance(alpha: float) -> float:
+    """``alpha`` if it lies in (0, 1), else a StatsError."""
+    if not 0 < alpha < 1:
+        raise StatsError(f"alpha must be in (0, 1), got {alpha}")
+    return alpha
+
+
+def window_multiple(window_mult: float) -> float:
+    """``window_mult`` if it is > 0, else a StatsError."""
+    if not window_mult > 0:
+        raise StatsError(f"window_mult must be > 0, got {window_mult}")
+    return window_mult
+
+
+def amplitude_resolution(resolution: float) -> float:
+    """``resolution`` if it lies in [0, 1), else a StatsError."""
+    if not 0 <= resolution < 1:
+        raise StatsError(f"resolution must lie in [0, 1), got {resolution}")
+    return resolution
+
+
 @dataclass(frozen=True)
 class KsResult:
     """Outcome of a two-sample KS comparison.
@@ -137,8 +158,9 @@ def _ks_numerator(xs: np.ndarray, ys: np.ndarray) -> int:
             block = block[order]
             # +n where the value is the first sample's, -m where the
             # second's, after the carry i*n - j*m; |i*n - j*m| stays at or
-            # below m*n, exact in int64 for any sample that fits in memory
-            walk = np.where(order < i1 - i, n, -m)
+            # below m*n, exact in int64 for any sample that fits in memory.
+            # (Bool arithmetic: np.where is slow on a mask this random.)
+            walk = (order < i1 - i) * (n + m) - m
             walk[0] += i * n - j * m
             np.cumsum(walk, out=walk)
             # every later value is at or above the cut, so the block's
@@ -164,8 +186,7 @@ def ks_two_sample(a, b, alpha: float = 0.05) -> KsResult:
     longer than a block is one scalar step, so the test holds the two
     sorted samples and at most 2 * ``_KS_BLOCK`` values besides.
     """
-    if not 0 < alpha < 1:
-        raise StatsError(f"alpha must be in (0, 1), got {alpha}")
+    significance(alpha)
     xs = _sorted_samples(a, "first")
     ys = _sorted_samples(b, "second")
     m, n = xs.size, ys.size
@@ -197,10 +218,8 @@ def waveform_samples_for_cdf(first: Waveform, second: Waveform,
     show up as spurious distribution differences between two otherwise
     identical quiet stretches.  Pass 0 to disable.
     """
-    if not window_mult > 0:
-        raise StatsError(f"window_mult must be > 0, got {window_mult}")
-    if not 0 <= resolution < 1:
-        raise StatsError(f"resolution must lie in [0, 1), got {resolution}")
+    window_multiple(window_mult)
+    amplitude_resolution(resolution)
     w1, w2 = normalize_align(first, second)
     m1 = fwhm(w1)
     width = max(m1.fwhm, fwhm(w2).fwhm)

@@ -162,12 +162,21 @@ def _rising_crossing(wave: Waveform, level: float, which: str) -> float:
     return wave.t0 + wave.dt * _crossing(s, int(rising[0]), level)
 
 
+def crossing_level(level: float) -> float:
+    """``level`` if it is finite, else a MetricsError naming it: no
+    waveform crosses a level that is not a number."""
+    if not math.isfinite(level):
+        raise MetricsError(f"crossing level must be finite, got {level}")
+    return level
+
+
 def delay_at_level(first: Waveform, second: Waveform, level: float) -> float:
     """Offset between the first rising crossings of ``level``.
 
     Positive when ``second`` crosses later.  The level is in raw
-    waveform units; no normalization is applied here.
+    waveform units and must be finite; no normalization is applied here.
     """
+    level = crossing_level(level)
     return _rising_crossing(second, level, "second") \
         - _rising_crossing(first, level, "first")
 

@@ -30,9 +30,10 @@ of G for the whole block, by ``numpy.linalg.solve``), the branch
 currents, and the current-law audit, which pushes each block's branch
 currents through the full incidence matrix.  If any node's residual
 over the run exceeds ``solver_tol`` times the current scale, the run is
-rejected rather than silently returned.  The record is frozen at the
-end, so its waveforms share it instead of copying it.  The module needs
-numpy only.
+rejected rather than silently returned.  The record keeps the currents
+the run solves, every branch's but a current source's, whose waveform
+is the drive the run read.  The record is frozen at the end, so its
+waveforms share it instead of copying it.  The module needs numpy only.
 
 The matrices come from the network's boundary operator
 (``topology.boundary``).  With A its incidence matrix without the
@@ -160,7 +161,8 @@ class SimResult:
     """Transient solution on ``config``'s grid t = 0, dt, ..., steps*dt.
 
     ``node_voltages`` has one waveform per node (the reference is all
-    zeros); ``branch_currents`` one per branch, oriented start to end.
+    zeros); ``branch_currents`` one per branch, oriented start to end (a
+    current source's is the drive the run read).
     ``max_kcl_residual`` is the worst nodal current imbalance over all
     solved steps, in amperes.  ``current_scale`` is the largest branch
     current in the record, in amperes: the scale that tolerances on the
@@ -260,11 +262,20 @@ def _assemble(net: Network, cfg: SimConfig | None
     return row, G, A, g, cur, index
 
 
+def _frozen_value(value: float, n: int) -> np.ndarray:
+    """``value`` seen n times: one read-only sample, which Waveform keeps
+    without a copy."""
+    one = np.array([value], dtype=np.float64)
+    one.setflags(write=False)
+    return np.broadcast_to(one, n)
+
+
 def _source_samples(br: Branch, dt: float, n: int) -> np.ndarray:
-    """Read-only value of a source branch on the simulation grid 0, dt,
-    ..., (n - 1)·dt (aligned waveforms verbatim, without a copy).  A
-    waveform must span the grid to within half a step; the grid itself
-    is built only to interpolate a waveform that is not aligned."""
+    """Frozen value of a source branch on the simulation grid 0, dt, ...,
+    (n - 1)·dt, which Waveform keeps without a copy: an aligned
+    waveform's own samples, a constant's one value, or the interpolation
+    of a waveform that is not aligned.  A waveform must span the grid to
+    within half a step; the grid itself is built only to interpolate."""
     el = br.element
     value = el.amps if isinstance(el, CurrentSource) else el.volts
     if isinstance(value, Waveform):
@@ -277,8 +288,10 @@ def _source_samples(br: Branch, dt: float, n: int) -> np.ndarray:
                    and abs(value.dt - dt) <= 1e-12 * dt)
         if aligned:
             return value.samples[:n]
-        return value.value_at(dt * np.arange(n))
-    return np.broadcast_to(float(value), n)
+        samples = value.value_at(dt * np.arange(n))
+        samples.setflags(write=False)
+        return samples
+    return _frozen_value(float(value), n)
 
 
 @dataclass(frozen=True, eq=False)
@@ -422,11 +435,14 @@ def transient(net: Network, cfg: SimConfig,
     v0 = v0[:-1]
 
     steps = cfg.steps
-    # node voltages but the reference's and branch currents, with one
-    # row to spare for the grid that an off-grid source is read on
-    require_memory(8 * (steps + 1) * (len(net.nodes) + len(net.branches)),
-                   f"the record of {steps:,} steps")
     res_idx, cap_idx, ind_idx, isrc_idx, vsrc_idx = step.index.values()
+    # The record: node voltages but the reference's and the currents the
+    # run solves, every branch's but a current source's, whose current is
+    # its drive; with one row to spare for the grid that an off-grid
+    # source is read on.
+    solved = np.setdiff1d(np.arange(len(net.branches)), isrc_idx)
+    require_memory(8 * (steps + 1) * (len(net.nodes) + len(solved)),
+                   f"the record of {steps:,} steps")
     sources = [_source_samples(net.branches[k], cfg.dt, steps + 1)
                for k in (*isrc_idx, *vsrc_idx)]
     n_c, n_i = len(cap_idx), len(isrc_idx)
@@ -454,12 +470,12 @@ def transient(net: Network, cfg: SimConfig,
         raise SimulationError(f"initial voltages put {u0[bad[0]]:g} V across branch "
                               f"{net.branches[bad[0]].id!r}, past the float range")
     z = np.concatenate([u0[cap_idx], i0[cap_idx], u0[ind_idx], i0[ind_idx]])
-    I_rec = np.empty((len(net.branches), steps + 1))
+    i0[res_idx] = g_u0[res_idx]
+    i0[isrc_idx] = [src[0] for src in sources[:n_i]]
+    I_rec = np.empty((len(solved), steps + 1))
     V_rec = np.empty((n_v, steps + 1))
     V_rec[:, 0] = v0
-    I_rec[:, 0] = i0
-    I_rec[res_idx, 0] = g_u0[res_idx]
-    I_rec[isrc_idx, 0] = [src[0] for src in sources[:n_i]]
+    I_rec[:, 0] = i0[solved]
 
     # The steps, in blocks.  The current-law audit does not judge t = 0,
     # which is supplied state and not a solution, but counts it towards
@@ -468,8 +484,11 @@ def transient(net: Network, cfg: SimConfig,
     # those intermediates, not on the (possibly tiny) net currents.
     D = boundary(net).astype(np.float64)
     max_resid = 0.0
-    scale = float(np.max(np.abs(I_rec[:, 0])))
+    scale = float(np.max(np.abs(i0)))
     g_u = float(np.max(step.g * np.abs(u0)))
+    # Each block's currents of every branch, in branch order, for the
+    # checks and the audit; only the solved rows go into the record.
+    I_block = np.empty((len(net.branches), min(_BLOCK, steps)))
     for lo in range(1, steps + 1, _BLOCK):
         hi = min(lo + _BLOCK, steps + 1)
         s = np.vstack([src[lo:hi] for src in sources])
@@ -497,7 +516,7 @@ def transient(net: Network, cfg: SimConfig,
             x = np.linalg.solve(step.G, step.Rz @ zs[:-1].T + step.Rs @ s)
             u = A.T @ x[:n_v]
             V_rec[:, lo:hi] = x[:n_v]
-            I = I_rec[:, lo:hi]
+            I = I_block[:, :n]
             I[res_idx] = u[res_idx] * g_br[res_idx]
             I[cap_idx] = zs[1:, cap_i_rows].T
             I[ind_idx] = zs[1:, ind_i_rows].T
@@ -510,6 +529,7 @@ def transient(net: Network, cfg: SimConfig,
         max_resid = max(max_resid, float(np.max(np.abs(D @ I))))
         scale = max(scale, float(np.max(np.abs(I))))
         g_u = max(g_u, float(np.max(g_br * np.abs(u))))
+        I_rec[:, lo:hi] = I[solved]
 
     audit_scale = max(scale, g_u)
     if max_resid > cfg.solver_tol * max(audit_scale, 1e-30):
@@ -520,15 +540,14 @@ def transient(net: Network, cfg: SimConfig,
 
     I_rec.setflags(write=False)
     V_rec.setflags(write=False)
-    # The reference's record is one read-only zero, seen steps + 1 times,
-    # which Waveform keeps without a copy.
-    zero = np.zeros(1)
-    zero.setflags(write=False)
-    node_waves = {}
-    for label, r in step.row.items():
-        samples = V_rec[r] if r >= 0 else np.broadcast_to(zero, steps + 1)
-        node_waves[label] = Waveform(0.0, cfg.dt, samples, "V")
-    branch_waves = {br.id: Waveform(0.0, cfg.dt, I_rec[k], "A")
+    # The reference's record is one read-only zero and a current source's
+    # its drive, which Waveform keeps without a copy.
+    zero = _frozen_value(0.0, steps + 1)
+    node_waves = {label: Waveform(0.0, cfg.dt, V_rec[r] if r >= 0 else zero, "V")
+                  for label, r in step.row.items()}
+    currents = dict(zip(isrc_idx.tolist(), sources[:n_i]))
+    currents.update(zip(solved.tolist(), I_rec))
+    branch_waves = {br.id: Waveform(0.0, cfg.dt, currents[k], "A")
                     for k, br in enumerate(net.branches)}
     return SimResult(net, cfg, node_waves, branch_waves, max_resid, scale)
 

@@ -39,7 +39,6 @@ there.  Its tables are built on the first write, not at import.
 from __future__ import annotations
 
 import functools
-import itertools
 import math
 from dataclasses import dataclass
 from pathlib import Path
@@ -360,7 +359,7 @@ def _kernel_rows(block: np.ndarray) -> np.ndarray | None:
     buf[:] = tab.template
     buf[:, _DIGIT] = first + ord("0")
     buf[:, _DIGIT + 2:_EXP:2] = tab.digits[groups].view(np.uint8)
-    buf[:, _EXP + 1] = np.where(X < 0, ord("-"), ord("+"))
+    buf[:, _EXP + 1] = ord("+") + (ord("-") - ord("+")) * (X < 0)
     buf[:, _EXP + 2:_SEP] = tab.exponents.take(ax, axis=0)
     buf = buf.reshape(block.shape + (_SLOTS,))
     buf[:, -1, _SEP] = ord("\n")
@@ -384,11 +383,13 @@ def _is_header(line: str) -> bool:
     return line.lower().replace(" ", "") == "time_s,value"
 
 
-def _load_rows(lines) -> np.ndarray | None:
-    """``lines`` as an (n, 2) array, or None when numpy's parser rejects
-    a line or the rows do not hold two fields.  Empty lines are skipped."""
+def _load_rows(source, skiprows: int = 0) -> np.ndarray | None:
+    """The lines of ``source``, a list of lines or a UTF-8 file's path,
+    after the first ``skiprows``, as an (n, 2) array, or None when
+    numpy's parser rejects a line or the rows do not hold two fields.
+    Empty lines are skipped."""
     try:
-        rows = np.loadtxt(lines, **_ROWS)
+        rows = np.loadtxt(source, skiprows=skiprows, encoding="utf-8", **_ROWS)
     except ValueError:
         return None
     return rows if rows.shape[1] == 2 else None
@@ -458,7 +459,7 @@ def _read(path: Path) -> Waveform:
     dt_header: float | None = None
     with path.open(encoding="utf-8") as fh:
         # Python reads the leading lines up to the first data row; numpy
-        # parses that row and every one after it.
+        # parses the file from that row on.
         for first, raw in enumerate(fh, start=1):
             line = raw.strip()
             if line.startswith("#"):
@@ -478,11 +479,11 @@ def _read(path: Path) -> Waveform:
                             raise WaveformError(
                                 f"{path}:{first}: bad dt header {val!r}")
             elif line and not _is_header(line):
-                rows = _load_rows(itertools.chain([raw], fh))
                 break
         else:
             raise WaveformError(f"{path}: waveform needs at least two data rows")
 
+    rows = _load_rows(path, skiprows=first - 1)
     if rows is None or not np.isfinite(rows).all():
         raise _bad_row(path, first)
     if len(rows) < 2:

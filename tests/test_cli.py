@@ -240,7 +240,18 @@ def test_baseline_window_may_start_before_zero(tmp_path, capsys):
     (["simulate", "--config", "missing.cfg", "--out", "x.csv",
       "--detector-rise", "-5ps"],
      "error: rise time must be > 0 s, got -5e-12\n"),
-], ids=["metrics", "compare", "kstest", "simulate"])
+    (["compare", "missing.csv", "missing.csv", "--level", "nan"],
+     "error: crossing level must be finite, got nan\n"),
+    (["compare", "missing.csv", "missing.csv", "--level", "inf"],
+     "error: crossing level must be finite, got inf\n"),
+    (["kstest", "missing.csv", "missing.csv", "--alpha", "2"],
+     "error: alpha must be in (0, 1), got 2.0\n"),
+    (["kstest", "missing.csv", "missing.csv", "--window-mult", "0"],
+     "error: window_mult must be > 0, got 0.0\n"),
+    (["kstest", "missing.csv", "missing.csv", "--resolution", "1"],
+     "error: resolution must lie in [0, 1), got 1.0\n"),
+], ids=["metrics", "compare", "kstest", "simulate", "level-nan", "level-inf",
+        "alpha", "window-mult", "resolution"])
 def test_a_bad_flag_is_named_before_any_input_is_read(tmp_path, capsys,
                                                       monkeypatch, argv, err):
     monkeypatch.chdir(tmp_path)

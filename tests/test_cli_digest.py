@@ -26,7 +26,7 @@ def test_digest_names_each_command_its_exit_its_streams_and_its_files():
         "laser-params", "laser-params", "netcheck", "netcheck", "simulate", "simulate",
         "sweep", "metrics", "compare", "kstest", "metrics",
         "simulate", "simulate", "kstest", "netcheck", "simulate", "netcheck",
-        "metrics"]
+        "metrics", "compare"]
     written = []
     for rows in list(blocks.values())[:11]:
         assert rows.pop("exit") == "0"

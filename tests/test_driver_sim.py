@@ -298,10 +298,30 @@ def test_transient_keeps_its_record_and_one_zero_for_the_reference():
         kept = tracemalloc.get_traced_memory()[0]
     finally:
         tracemalloc.stop()
-    recorded = 8 * (steps + 1) * (len(net.nodes) - 1 + len(net.branches))
-    assert kept <= recorded + 100_000
+    assert kept <= 8 * (steps + 1) * recorded_rows(net) + 100_000
     zero = res.node_voltages[net.reference].samples
     assert zero.shape == (steps + 1,) and not zero.any()
+
+
+def recorded_rows(net):
+    """The rows transient allocates: each node voltage but the
+    reference's and each branch current but a current source's."""
+    return len(net.nodes) - 1 + sum(
+        not isinstance(br.element, CurrentSource) for br in net.branches)
+
+
+def test_current_source_currents_are_their_drives():
+    # A current source's branch current is the drive the run read, not a
+    # copy: an aligned waveform's own samples and a constant's one value.
+    net, cfg = driver_of(20_000)
+    res = transient(net, cfg, dc_operating_point(net))
+    pulse = net.branches[net.branch_ids.index("IPULSE")].element.amps
+    ipulse = res.branch_currents["IPULSE"]
+    assert np.shares_memory(ipulse.samples, pulse.samples)
+    assert np.array_equal(ipulse.samples, pulse.samples[:cfg.steps + 1])
+    ibias = res.branch_currents["IBIAS"].samples
+    assert ibias.shape == (cfg.steps + 1,) and ibias.strides == (0,)
+    assert np.all(ibias == BIAS)
 
 
 def driver_of(steps):
@@ -318,8 +338,7 @@ def test_transient_needs_no_time_axis_beside_its_record():
     for steps in (100_000, 200_000):
         net, cfg = driver_of(steps)
         peak = traced_peak(transient, net, cfg, dc_operating_point(net))
-        above.append(peak - 8 * (steps + 1) * (len(net.nodes) - 1
-                                                + len(net.branches)))
+        above.append(peak - 8 * (steps + 1) * recorded_rows(net))
     assert abs(above[1] - above[0]) <= 100_000
 
 

@@ -4,7 +4,7 @@ import subprocess
 import sys
 from pathlib import Path
 
-from pulsenet import config, driver_network
+from pulsenet import CurrentSource, config, driver_network
 
 ROOT = Path(__file__).parent.parent
 TOOL = ROOT / "tools" / "layer_memory.py"
@@ -20,11 +20,12 @@ def test_reports_each_layer_peak_and_its_multiple_of_the_input():
                                     "write_waveform_csv", "read_waveform_csv",
                                     "detector_filter", "ks_two_sample"]
     # the shipped driver records each node voltage but the reference's
-    # and each branch current
+    # and each branch current but a current source's
     cfg = config.load_config(ROOT / "configs" / "pulse600.cfg", config.SIMULATE_KEYS)
     net = driver_network(config.stimulus_spec_from(cfg), config.laser_circuit_from(cfg),
                          t_end=cfg["t_end"], dt=cfg["dt"])
-    recorded = (len(net.nodes) - 1 + len(net.branches)) * 3001
+    recorded = (len(net.nodes) - 1 + sum(
+        not isinstance(br.element, CurrentSource) for br in net.branches)) * 3001
     assert [int(r[1]) for r in rows] == [recorded, 3001, 3001, 3001, 3001, 6002]
     for _, samples, peak_mb, ratio in rows:
         # both columns are rounded to two decimals

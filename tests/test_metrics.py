@@ -209,6 +209,16 @@ def test_delay_names_the_waveform_that_misses_the_level():
         delay_at_level(low, high, 0.5)
 
 
+def test_delay_names_a_level_that_is_not_finite():
+    # A level that no waveform can cross is blamed on the level, not on
+    # the second waveform.
+    wave = gaussian_wave(100e-12, 5e-12)
+    for level in (math.nan, math.inf, -math.inf):
+        with pytest.raises(MetricsError,
+                           match=f"^crossing level must be finite, got {level}$"):
+            delay_at_level(wave, wave, level)
+
+
 def test_normalize_align_identical_inputs():
     wave = gaussian_wave(254.8e-12, 10e-12)
     a, b = normalize_align(wave, wave)

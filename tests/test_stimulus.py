@@ -170,10 +170,30 @@ def test_stimulus_too_large_for_memory_fails_before_allocating():
     try:
         with pytest.raises(SimulationError, match=(
                 r"^the stimulus on 1,000,000,000,001 samples needs "
-                r"24,000,000,000,024 bytes, more than the [\d,]+ bytes of "
+                r"8,000,000,000,008 bytes, more than the [\d,]+ bytes of "
                 r"physical memory$")):
             stimulus(spec600(), t_end=1e-3, dt=1e-15)
         _, peak = tracemalloc.get_traced_memory()
     finally:
         tracemalloc.stop()
     assert peak < 1_000_000
+
+
+def test_stimulus_holds_its_train_and_one_pulse_slice():
+    # The train is the one full-length array: each pulse's sample times
+    # and shape are built for its own slice, and the train is scaled in
+    # place and kept by Waveform.  Besides it, the peak holds the 1-byte
+    # mask of Waveform's finiteness check and at most one pulse's
+    # temporaries.
+    spec = spec600(rate=250e6)
+    n, dt = 200_001, 1e-12
+    piece = 8 * (math.ceil(spec.extent / dt) + 4)
+    stimulus(spec, t_end=(n - 1) * dt, dt=dt)
+    tracemalloc.start()
+    try:
+        wave = stimulus(spec, t_end=(n - 1) * dt, dt=dt)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert len(wave) == n
+    assert peak <= 9 * n + piece

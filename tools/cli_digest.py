@@ -6,11 +6,11 @@ interpreter, in a temporary directory that holds a copy of
 more run on inputs written beside ``configs/``: one checks the cycles
 of a netlist with a negative resistance, and one removes the baseline
 of a pulse sampled from before t = 0 over a window at negative times.
-Then seven commands that must fail run on bad flags and bad inputs: an
+Then eight commands that must fail run on bad flags and bad inputs: an
 unknown probe, a zero detector rise time, a missing waveform, a netlist
 with an unknown element kind, a config with an unknown key, a netlist
-whose source reads a missing waveform file and a baseline window with
-a bare number.  For each command the digest
+whose source reads a missing waveform file, a baseline window with a
+bare number and a crossing level that is not a number.  For each command the digest
 has its exit code and the SHA-256 of its stdout, of its stderr and of
 each file it wrote or changed.  Two checkouts whose command line behaves the same byte for
 byte, error messages included, print the same digest:
@@ -55,6 +55,7 @@ COMMANDS = (
     ("simulate", "--config", "unknown_key.cfg", "--out", "key.csv"),
     ("netcheck", "missing_wave.net"),
     ("metrics", "pulse600.csv", "--baseline", "0", "1ns"),
+    ("compare", "pulse600.csv", "pulse600.csv", "--level", "nan"),
 )
 
 #: The inputs that are not shipped, written beside ``configs/``: a

@@ -4,8 +4,9 @@ Each layer is called once to warm up, then once under ``tracemalloc``;
 its peak, output included, is printed in MB and as a multiple of its
 input's bytes.  For ``transient``, which runs the shipped 600 ps driver
 (``configs/pulse600.cfg``) for N - 1 steps from its operating point,
-that is the bytes of the record it returns: n samples for each node but
-the reference and for each branch.  ``dc_operating_point`` runs on the
+that is the bytes of the record it allocates: n samples for each node
+but the reference and for each branch but a current source, whose
+current is the drive the run reads.  ``dc_operating_point`` runs on the
 same driver, and its input is the n samples of the driver's pulse
 source.  The input is the record's n float64 samples for
 ``write_waveform_csv``, ``read_waveform_csv`` (of the file the writer
@@ -28,7 +29,7 @@ import numpy as np
 ROOT = Path(__file__).resolve().parent.parent
 sys.path.insert(0, str(ROOT / "src"))
 
-from pulsenet import config, kstest, simulate, waveform  # noqa: E402
+from pulsenet import CurrentSource, config, kstest, simulate, waveform  # noqa: E402
 
 
 def traced_peak(fn, *args) -> int:
@@ -52,7 +53,8 @@ def main(argv: list[str]) -> int:
     net = simulate.driver_network(config.stimulus_spec_from(cfg),
                                   config.laser_circuit_from(cfg),
                                   t_end=sim.steps * sim.dt, dt=sim.dt)
-    recorded = (len(net.nodes) - 1 + len(net.branches)) * n
+    recorded = (len(net.nodes) - 1 + sum(
+        not isinstance(br.element, CurrentSource) for br in net.branches)) * n
     with tempfile.TemporaryDirectory() as tmp:
         path = Path(tmp) / "wave.csv"
         layers = [
