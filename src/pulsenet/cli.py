@@ -290,13 +290,6 @@ class _Parser(argparse.ArgumentParser):
         self._negative_number_matcher = re.compile(r"^-\.?\d")
 
 
-def _rise_time(text: str) -> float:
-    rise = cfgmod.quantity(text, "s", "--detector-rise")
-    if not rise > 0:
-        raise simulate.SimulationError(f"rise time must be > 0 s, got {rise}")
-    return rise
-
-
 def _checked_float(check):
     """An argparse type: the text as a float, as ``type=float`` reads it,
     then ``check`` of it, whose error names the value."""
@@ -323,7 +316,9 @@ def build_parser() -> argparse.ArgumentParser:
                           help="quiet window (e.g. 0s 1ns or -2ns -1ns) whose "
                                "mean is removed from each input first")
     rise = argparse.ArgumentParser(add_help=False)
-    rise.add_argument("--detector-rise", metavar="QTY", type=_rise_time,
+    rise.add_argument("--detector-rise", metavar="QTY",
+                      type=lambda text: simulate.rise_time(
+                          cfgmod.quantity(text, "s", "--detector-rise")),
                       help="apply the detector response of this 10-90 rise "
                            "time, e.g. 500ps")
 

@@ -171,15 +171,16 @@ def stimulus(spec: StimulusSpec, t_end: float, dt: float,
     out = np.zeros(n)
     first = math.floor((start - spec.pulse_center(0)) * spec.rate) - 1
     last = math.ceil((t0 + dt * (n - 1) - spec.pulse_center(0)) * spec.rate) + 1
+    # A pulse is 0.0 farther than ``reach`` from its center: past half its
+    # extent, or for a Gaussian past 17 widths, where exp(-4 ln2 (u/w)^2)
+    # underflows (it does from 16.39 widths on).  Each is evaluated on
+    # that index range, one sample wider on each side than the rounding
+    # needs.
+    reach = 17.0 * spec.width if spec.shape == "gaussian" else 0.5 * spec.extent
     for k in range(max(first, 0), last + 1):
         center = spec.pulse_center(k)
-        if spec.shape == "gaussian":   # nonzero everywhere
-            lo, hi = 0, n
-        else:
-            # Zero outside its extent: evaluate on that index range, one
-            # sample wider on each side than the rounding needs.
-            lo = max(math.floor((center - 0.5 * spec.extent - t0) / dt) - 1, 0)
-            hi = min(math.ceil((center + 0.5 * spec.extent - t0) / dt) + 2, n)
+        lo = max(math.floor((center - reach - t0) / dt) - 1, 0)
+        hi = min(math.ceil((center + reach - t0) / dt) + 2, n)
         if lo < hi:
             out[lo:hi] += _shape_values(spec, t0 + dt * np.arange(lo, hi) - center)
     out *= spec.amplitude

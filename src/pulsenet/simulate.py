@@ -19,14 +19,17 @@ holding the read-only maps of
     z_n = M z_{n-1} + N s_n        G x_n = Rz z_{n-1} + Rs s_n
 
 ``transient`` compiles, builds the state at t = 0 and writes the
-record: the t = 0 column first, then the steps in fixed-size blocks.
-Each block advances the state by a doubling scan (Hillis and Steele,
-CACM 29(12), 1986): with the block's drives N s_n as rows under the
-start state, pass k adds to every row the row 2^k above it times
-M^(2^k), so after ceil(log2(n + 1)) passes row j holds the whole
-recurrence up to step j.  The powers M^(2^k) are built once per run by
-squaring.  Each block then computes the unknowns x (one LU solve
-of G for the whole block, by ``numpy.linalg.solve``), the branch
+record in one loop: t = 0 is its first pass, then come the steps in
+fixed-size blocks.  Every pass assembles the branch currents by element
+kind, checks them, updates the scales and writes the record; the first
+does so for the supplied state, the later ones for the steps that they
+scan and solve.  Each block advances the state by a doubling scan
+(Hillis and Steele, CACM 29(12), 1986): with the block's drives N s_n
+as rows under the start state, pass k adds to every row the row 2^k
+above it times M^(2^k), so after ceil(log2(n + 1)) passes row j holds
+the whole recurrence up to step j.  The powers M^(2^k) are built once
+per run by squaring.  Each block then computes the unknowns x (one LU
+solve of G for the whole block, by ``numpy.linalg.solve``), the branch
 currents, and the current-law audit, which pushes each block's branch
 currents through the full incidence matrix.  If any node's residual
 over the run exceeds ``solver_tol`` times the current scale, the run is
@@ -458,75 +461,73 @@ def transient(net: Network, cfg: SimConfig,
     with np.errstate(over="ignore", invalid="ignore"):
         for _ in range(_BLOCK.bit_length() - 1):
             powers.append(powers[-1] @ powers[-1])
-
-    # The t = 0 column is the supplied state: v0, the supplied currents,
-    # g*u0 through each resistor and s(0) through each current source.
-    with np.errstate(over="ignore", invalid="ignore"):
+        # Finite voltages can still differ by more than the float range.
         u0 = A.T @ v0
-        g_u0 = step.g * u0
-    # Finite voltages can still differ by more than the float range.
-    bad = np.flatnonzero(~np.isfinite(g_u0))
+        bad = np.flatnonzero(~np.isfinite(step.g * u0))
     if bad.size:
         raise SimulationError(f"initial voltages put {u0[bad[0]]:g} V across branch "
                               f"{net.branches[bad[0]].id!r}, past the float range")
+    # The supplied state, which the first pass records as t = 0: the
+    # state z, the unknowns x = (v0, the supplied voltage-source currents)
+    # and their branch voltages u.
     z = np.concatenate([u0[cap_idx], i0[cap_idx], u0[ind_idx], i0[ind_idx]])
-    i0[res_idx] = g_u0[res_idx]
-    i0[isrc_idx] = [src[0] for src in sources[:n_i]]
+    zs, x, u = z[None], np.concatenate([v0, i0[vsrc_idx]])[:, None], u0[:, None]
     I_rec = np.empty((len(solved), steps + 1))
     V_rec = np.empty((n_v, steps + 1))
-    V_rec[:, 0] = v0
-    I_rec[:, 0] = i0[solved]
 
-    # The steps, in blocks.  The current-law audit does not judge t = 0,
-    # which is supplied state and not a solution, but counts it towards
-    # the scales.  Reactive branch currents come from cancelling companion
+    # t = 0, then the steps in blocks, through one body; only the blocks
+    # scan and solve.  The current-law audit does not judge t = 0, which
+    # is supplied state and not a solution, but counts it towards the
+    # scales.  Reactive branch currents come from cancelling companion
     # terms of magnitude g*|u|, so roundoff in the residual floats on
     # those intermediates, not on the (possibly tiny) net currents.
     D = boundary(net).astype(np.float64)
-    max_resid = 0.0
-    scale = float(np.max(np.abs(i0)))
-    g_u = float(np.max(step.g * np.abs(u0)))
+    max_resid = scale = g_u = 0.0
     # Each block's currents of every branch, in branch order, for the
     # checks and the audit; only the solved rows go into the record.
     I_block = np.empty((len(net.branches), min(_BLOCK, steps)))
-    for lo in range(1, steps + 1, _BLOCK):
-        hi = min(lo + _BLOCK, steps + 1)
+    edges = (0, *range(1, steps + 1, _BLOCK), steps + 1)
+    for lo, hi in zip(edges, edges[1:]):
+        n = hi - lo
         s = np.vstack([src[lo:hi] for src in sources])
         # Finite maps can still step into overflow (a 1e-300 H inductor
         # at dt = 0.1 ns); the block's record is checked instead.
         with np.errstate(over="ignore", invalid="ignore"):
-            # The recurrence, one row of zs per step (zs[0] = z_{lo-1}).
-            # After pass k, row j holds the drives of rows j - 2^(k+1) + 1
-            # to j carried to step j.  Each pass reads the rows as they were
-            # before it: the product is evaluated before the add, and must
-            # never be written with out= into zs, whose two slices overlap.
-            n = hi - lo
-            zs = np.empty((n + 1, n_z))
-            zs[0] = z
-            zs[1:] = (step.N @ s).T
-            for k in range(n.bit_length()):
-                zs[1 << k:] += zs[:-(1 << k)] @ powers[k]
-            z = zs[-1].copy()
-            # The unknowns are solved from the assembled right-hand side,
-            # not through a composed map from (z, s): terms that cancel at
-            # a node (a bias current against its choke's current) then
-            # cancel before the solve scales them by 1/g of a small
-            # companion conductance, not after.  ``compile_step`` has
-            # already solved with this G, and the LU pivots on G alone.
-            x = np.linalg.solve(step.G, step.Rz @ zs[:-1].T + step.Rs @ s)
-            u = A.T @ x[:n_v]
+            if lo:
+                # The recurrence, one row of zs per step (zs[0] = z_{lo-1}).
+                # After pass k, row j holds the drives of rows j - 2^(k+1) + 1
+                # to j carried to step j.  Each pass reads the rows as they
+                # were before it: the product is evaluated before the add, and
+                # must never be written with out= into zs, whose two slices
+                # overlap.
+                zs = np.empty((n + 1, n_z))
+                zs[0] = z
+                zs[1:] = (step.N @ s).T
+                for k in range(n.bit_length()):
+                    zs[1 << k:] += zs[:-(1 << k)] @ powers[k]
+                z = zs[-1].copy()
+                # The unknowns are solved from the assembled right-hand
+                # side, not through a composed map from (z, s): terms that
+                # cancel at a node (a bias current against its choke's
+                # current) then cancel before the solve scales them by 1/g
+                # of a small companion conductance, not after.
+                # ``compile_step`` has already solved with this G, and the
+                # LU pivots on G alone.
+                x = np.linalg.solve(step.G, step.Rz @ zs[:-1].T + step.Rs @ s)
+                u = A.T @ x[:n_v]
             V_rec[:, lo:hi] = x[:n_v]
             I = I_block[:, :n]
             I[res_idx] = u[res_idx] * g_br[res_idx]
-            I[cap_idx] = zs[1:, cap_i_rows].T
-            I[ind_idx] = zs[1:, ind_i_rows].T
+            I[cap_idx] = zs[-n:, cap_i_rows].T
+            I[ind_idx] = zs[-n:, ind_i_rows].T
             I[isrc_idx] = s[:n_i]
             I[vsrc_idx] = x[n_v:]
         if not (np.all(np.isfinite(x)) and np.all(np.isfinite(I))):
             raise _overflow(f"the run in steps {lo} to {hi - 1}", net, cfg,
                             step.g, step.index)
 
-        max_resid = max(max_resid, float(np.max(np.abs(D @ I))))
+        if lo:
+            max_resid = max(max_resid, float(np.max(np.abs(D @ I))))
         scale = max(scale, float(np.max(np.abs(I))))
         g_u = max(g_u, float(np.max(g_br * np.abs(u))))
         I_rec[:, lo:hi] = I[solved]
@@ -666,16 +667,21 @@ def sweep_runs(spec: StimulusSpec, circ: LaserCircuit, param: str,
     return runs
 
 
-def detector_filter(wave: Waveform, rise_time: float) -> Waveform:
+def rise_time(rise: float) -> float:
+    """``rise`` if it is > 0 s, else a SimulationError naming it."""
+    if not rise > 0:
+        raise SimulationError(f"rise time must be > 0 s, got {rise}")
+    return rise
+
+
+def detector_filter(wave: Waveform, rise: float) -> Waveform:
     """Single-pole response of a detector with the given 10-90 rise time.
 
-    The pole is at tau = rise_time / ln 9 so that a step input crosses
-    10% to 90% in exactly ``rise_time``.  The filter starts settled at
-    the first sample (no spurious startup edge on a biased input).
+    The pole is at tau = rise / ln 9 so that a step input crosses 10% to
+    90% in exactly ``rise`` seconds.  The filter starts settled at the
+    first sample (no spurious startup edge on a biased input).
     """
-    if not rise_time > 0:
-        raise SimulationError(f"rise time must be > 0 s, got {rise_time}")
-    tau = rise_time / math.log(9.0)
+    tau = rise_time(rise) / math.log(9.0)
     c = 1.0 - math.exp(-wave.dt / tau)
     # y[k] = c x[k] + (1 - c) y[k-1], in the operation order of the
     # transposed direct form (scipy.signal.lfilter), started settled.

@@ -97,7 +97,9 @@ class Waveform:
             raise WaveformError("samples must be one-dimensional")
         if arr.size < 2:
             raise WaveformError("a waveform needs at least two samples")
-        if not np.all(np.isfinite(arr)):
+        # A NaN makes both min and max NaN and an infinity is one of
+        # them, so no mask is built.
+        if not (math.isfinite(arr.min()) and math.isfinite(arr.max())):
             raise WaveformError("samples must be finite")
         dt = float(self.dt)
         t0 = float(self.t0)

@@ -259,6 +259,20 @@ def test_a_bad_flag_is_named_before_any_input_is_read(tmp_path, capsys,
     assert capsys.readouterr().err == err
 
 
+@pytest.mark.parametrize("argv, flag", [
+    (["kstest", "a.csv", "b.csv", "--alpha", "abc"], "--alpha"),
+    (["compare", "a.csv", "b.csv", "--level", "abc"], "--level"),
+], ids=["alpha", "level"])
+def test_a_checked_float_flag_that_is_no_number_is_a_usage_error(
+        tmp_path, capsys, monkeypatch, argv, flag):
+    # argparse's own words for a value that ``type=float`` cannot read.
+    monkeypatch.chdir(tmp_path)
+    assert cli.main(argv) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("usage: pulsenet ")
+    assert err.endswith(f": error: argument {flag}: invalid float value: 'abc'\n")
+
+
 @pytest.mark.parametrize("module", ["pulsenet", "pulsenet.cli"])
 def test_import_loads_no_scipy(module):
     """Importing loads no scipy and builds none of the CSV writer's

@@ -273,15 +273,15 @@ def test_detector_filter_matches_lfilter_bit_for_bit(n):
     assert (out.t0, out.dt, out.unit) == (wave.t0, wave.dt, wave.unit)
 
 
-def test_detector_filter_holds_its_output_and_the_finiteness_mask():
-    # The output's 8 bytes a sample and the 1-byte mask of Waveform's
-    # finiteness check; the slack is 16 KiB (about 1.7 kB measured).
+def test_detector_filter_holds_only_its_output():
+    # The output's 8 bytes a sample; Waveform's finiteness check builds
+    # no mask.  The slack is 16 KiB (about 1.7 kB measured).
     n = 200_001
     wave = Waveform(0.0, 1e-12, np.random.default_rng(4).normal(
         31e-3, 5e-3, size=n), "A")
     detector_filter(wave, 500e-12)
     peak = traced_peak(detector_filter, wave, 500e-12)
-    assert peak <= 9 * n + 16_384
+    assert peak <= 8 * n + 16_384
 
 
 def test_transient_keeps_its_record_and_one_zero_for_the_reference():

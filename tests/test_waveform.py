@@ -48,6 +48,10 @@ def test_validation():
         Waveform(0.0, -1e-12, [1.0, 2.0])
     with pytest.raises(WaveformError, match="finite"):
         Waveform(0.0, 1.0, [1.0, np.nan])
+    # the check reads both ends, so an infinity of either sign is caught
+    for bad in ([1.0, np.inf, 2.0], [1.0, -np.inf, 2.0], [np.nan, 1.0, 2.0]):
+        with pytest.raises(WaveformError, match="^samples must be finite$"):
+            Waveform(0.0, 1.0, bad)
     with pytest.raises(WaveformError, match="one-dimensional"):
         Waveform(0.0, 1.0, [[1.0, 2.0]])
     with pytest.raises(WaveformError, match="t0 must be finite"):

@@ -2,10 +2,11 @@
 
 The README's commands run one after another, each in a fresh
 interpreter, in a temporary directory that holds a copy of
-``configs/``, so every path they are given or print is relative.  Two
+``configs/``, so every path they are given or print is relative.  Three
 more run on inputs written beside ``configs/``: one checks the cycles
-of a netlist with a negative resistance, and one removes the baseline
-of a pulse sampled from before t = 0 over a window at negative times.
+of a netlist with a negative resistance, one removes the baseline of a
+pulse sampled from before t = 0 over a window at negative times, and
+one simulates a 250 MHz train of Gaussian pulses for 20 ns.
 Then eight commands that must fail run on bad flags and bad inputs: an
 unknown probe, a zero detector rise time, a missing waveform, a netlist
 with an unknown element kind, a config with an unknown key, a netlist
@@ -46,6 +47,7 @@ COMMANDS = (
     ("kstest", "runs/run_000.csv", "runs/run_001.csv", "--alpha", "0.05",
      "--baseline", "0s", "1ns", "--detector-rise", "500ps", "--emit-cdf", "cdf.csv"),
     ("metrics", "pretrigger.csv", "--baseline", "-2ns", "-1ns"),
+    ("simulate", "--config", "gaussian.cfg", "--out", "gaussian.csv"),
     ("simulate", "--config", "configs/pulse600.cfg", "--out", "probe.csv",
      "--probe", "v:NOPE"),
     ("simulate", "--config", "configs/pulse600.cfg", "--out", "rise.csv",
@@ -61,13 +63,19 @@ COMMANDS = (
 #: The inputs that are not shipped, written beside ``configs/``: a
 #: netlist with a negative resistance, a 7.5 mA triangle pulse on a
 #: 31 mA pedestal sampled every 0.1 ns from -5 ns, as an oscilloscope
-#: exports it, and the bad inputs of the failing commands.
+#: exports it, the shipped laser driven by a 250 MHz train of 600 ps
+#: Gaussian pulses for 20 ns, and the bad inputs of the failing commands.
 INPUTS = {
     "negative_r.net": ("VS 0 a V 1\nR1 a b R 2.555ohm\nRO b 0 R -5.511mohm\n"
                        "C1 a 0 C 0.3557nF\n"),
     "pretrigger.csv": "time_s,value\n" + "".join(
         f"{k}e-10,{0.031 + 0.0075 * max(1 - abs(k - 10) / 5, 0):.17g}\n"
         for k in range(-50, 31)),
+    "gaussian.cfg": ("bias = 31mA\namplitude = 10.5mA\nwidth = 600ps\n"
+                     "delay = 2ns\nshape = gaussian\nrate = 250MHz\n"
+                     "R = 2.555ohm\nL = 6.184pH\nC = 0.3557nF\n"
+                     "R_spon = 2.811mohm\nR_o = -5.511mohm\n"
+                     "t_end = 20ns\ndt = 1ps\n"),
     "unknown_kind.net": "VS 0 a V 1\nQ1 a 0 Q 1\n",
     "unknown_key.cfg": "colour = blue\n",
     "missing_wave.net": "I1 0 a I file:nope.csv\nR1 a 0 R 1\n",
